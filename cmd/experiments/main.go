@@ -313,9 +313,9 @@ func writePerfArtifacts(prof *perf.Profiler, reportPath, tracePath string) error
 		}
 		fmt.Fprintf(os.Stderr, "experiments: wrote perf trace %s (%d window spans)\n", tracePath, r.TraceSpans)
 	}
-	fmt.Fprintf(os.Stderr, "experiments: perf: %d events, %d windows, wall=%.3fms busy=%.3fms idle=%.1f%% imbalance=%.2f\n",
+	fmt.Fprintf(os.Stderr, "experiments: perf: %d events, %d windows, wall=%.3fms busy=%.3fms idle=%.1f%% %s\n",
 		r.TotalEvents, r.Windows, float64(r.WallNs)/1e6, float64(r.BusyNs)/1e6,
-		100*r.IdleFraction, r.ImbalanceRatio)
+		100*r.IdleFraction, r.BalanceText())
 	return nil
 }
 

@@ -1,9 +1,61 @@
 package main
 
 import (
+	"errors"
 	"math"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 )
+
+// TestMain lets a test re-run this binary as the prdrbsim CLI: with
+// PRDRBSIM_CLI set, the process runs main with the arguments after "--".
+func TestMain(m *testing.M) {
+	if os.Getenv("PRDRBSIM_CLI") == "1" {
+		for i, a := range os.Args {
+			if a == "--" {
+				os.Args = append([]string{"prdrbsim"}, os.Args[i+1:]...)
+				break
+			}
+		}
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// Out-of-range flags print one error line and exit 1 — no panic, no run.
+func TestBadInputExitsNonZero(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the CLI")
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-pattern", "uniform", "-rate", "0"}, "rate must be positive"},
+		{[]string{"-pattern", "uniform", "-rate", "-5"}, "rate must be positive"},
+		{[]string{"-pattern", "uniform", "-rate", "0", "-bursts", "0"}, "rate must be positive"},
+		{[]string{"-heavytail", "cache", "-ht-on", "0", "-bursts", "0"}, "ON duration must be positive"},
+		{[]string{"-heavytail", "cache", "-ht-plocal", "7", "-bursts", "0"}, "PLocal 7 out of [0,1]"},
+		{[]string{"-pattern", "uniform", "-shards", "-3"}, "shard count must not be negative"},
+	} {
+		args := append([]string{"-test.run=^$", "--", "-topology", "mesh-4x4", "-duration", "20us"}, c.args...)
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "PRDRBSIM_CLI=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: err = %v, want exit status 1; output:\n%s", c.args, err, out)
+			continue
+		}
+		if s := string(out); !strings.HasPrefix(s, "prdrbsim: ") || !strings.Contains(s, c.want) ||
+			strings.Contains(s, "panic") {
+			t.Errorf("%v: output %q, want one prdrbsim error mentioning %q", c.args, s, c.want)
+		}
+	}
+}
 
 func TestParseTopology(t *testing.T) {
 	cases := map[string]struct {

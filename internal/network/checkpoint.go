@@ -70,7 +70,7 @@ func (op *outPort) encodeState(e *ckpt.Enc) {
 	e.I64(int64(op.lastRouterAck))
 	e.I64(int64(op.busyNs))
 	e.I64(op.txBytes)
-	e.Int(op.rr)
+	e.Int(int(op.rr))
 	e.Int(op.vcCap)
 	encodePacket(e, op.inflight)
 	e.Int(len(op.vcs))
@@ -82,17 +82,19 @@ func (op *outPort) encodeState(e *ckpt.Enc) {
 			encodePacket(e, p)
 		}
 	}
-	e.Int(len(op.parkedOut))
-	for _, b := range op.parkedOut {
-		e.Bool(b)
+	// The credit latches and parked lists keep their historical layout:
+	// one bool per VC, then one list per VC.
+	e.Int(len(op.vcs))
+	for vc := range op.vcs {
+		e.Bool(op.blocked&(1<<vc) != 0)
 	}
-	e.Int(len(op.parked))
-	for vc := range op.parked {
-		e.Int(len(op.parked[vc]))
-		for i := range op.parked[vc] {
-			pd := &op.parked[vc][i]
-			encodePacket(e, pd.pkt)
-			e.Int(pd.fromVC)
+	e.Int(len(op.vcs))
+	for vc := range op.vcs {
+		parked := op.vcs[vc].parked
+		e.Int(len(parked))
+		for i := range parked {
+			encodePacket(e, parked[i].pkt)
+			e.Int(parked[i].fromVC)
 		}
 	}
 	if cp := op.cong; cp == nil {
@@ -163,7 +165,8 @@ func (n *Network) EncodeState(e *ckpt.Enc) {
 	e.Int(len(n.Routers))
 	for _, r := range n.Routers {
 		e.Int(len(r.out))
-		for _, op := range r.out {
+		for i := range r.out {
+			op := &r.out[i]
 			op.encodeState(e)
 		}
 	}

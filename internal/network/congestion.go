@@ -208,7 +208,8 @@ func (n *Network) CongSnapshotAt(now sim.Time) CongSnapshot {
 		VCStallNs: make([]int64, n.numVC),
 	}
 	for _, rt := range n.Routers {
-		for _, op := range rt.out {
+		for i := range rt.out {
+			op := &rt.out[i]
 			s.congFold(n, op, now)
 		}
 	}
@@ -244,7 +245,8 @@ func (n *Network) CongLinkStats(now sim.Time) []CongLinkStat {
 		out = append(out, ls)
 	}
 	for _, rt := range n.Routers {
-		for p, op := range rt.out {
+		for p := range rt.out {
+			op := &rt.out[p]
 			add(op, rt.ID, p)
 		}
 	}

@@ -49,7 +49,7 @@ func (n *Network) portAt(r topology.RouterID, p int) (*outPort, error) {
 	if p < 0 || p >= len(rt.out) {
 		return nil, fmt.Errorf("network: fault on router %d unknown port %d", r, p)
 	}
-	return rt.out[p], nil
+	return &rt.out[p], nil
 }
 
 // reversePort returns the opposite direction of the link at (r, p): the
@@ -63,7 +63,7 @@ func (n *Network) reversePort(r topology.RouterID, p int) *outPort {
 	case peer.Unwired():
 		return nil
 	case peer.IsRouter():
-		return n.Routers[peer.Router].out[peer.Port]
+		return &n.Routers[peer.Router].out[peer.Port]
 	}
 	return nil
 }
@@ -287,7 +287,7 @@ func (n *Network) PathUsable(src, dst topology.NodeID, msp topology.Path) bool {
 		} else {
 			port = n.Topo.NextHop(r, dst)
 		}
-		op := n.Routers[r].out[port]
+		op := &n.Routers[r].out[port]
 		if op.down {
 			return false
 		}
@@ -340,7 +340,8 @@ func (n *Network) reachFrom(sh *Shard, from topology.RouterID) []bool {
 	for len(queue) > 0 {
 		r := queue[0]
 		queue = queue[1:]
-		for p, op := range n.Routers[r].out {
+		for p := range n.Routers[r].out {
+			op := &n.Routers[r].out[p]
 			if op.down {
 				continue
 			}

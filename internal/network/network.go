@@ -146,16 +146,20 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 	}
 	n.numVC = numClasses * n.vcsPerClass
 
-	newPort := func(sh *Shard, router topology.RouterID, port, capBytes int) *outPort {
-		op := &outPort{
-			net:       n,
-			sh:        sh,
-			router:    router,
-			port:      port,
-			vcCap:     capBytes,
-			vcs:       make([]vcQueue, n.numVC),
-			parked:    make([][]parkedDelivery, n.numVC),
-			parkedOut: make([]bool, n.numVC),
+	// Ports are allocated in slabs — one per router, one for all NIC
+	// injection ports — each with a parallel vcQueue slab, so a router's
+	// arbitration state is contiguous instead of a pointer chase per port.
+	vcSlab := func(slab []vcQueue, i int) []vcQueue {
+		return slab[i*n.numVC : (i+1)*n.numVC : (i+1)*n.numVC]
+	}
+	initPort := func(op *outPort, vcs []vcQueue, sh *Shard, router topology.RouterID, port, capBytes int) {
+		*op = outPort{
+			net:    n,
+			sh:     sh,
+			router: router,
+			port:   port,
+			vcCap:  capBytes,
+			vcs:    vcs,
 		}
 		if sh.Collector != nil && router >= 0 {
 			// Resolve the contention-metrics handle once, at wiring time.
@@ -164,23 +168,27 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 		if cfg.Congestion {
 			op.cong = newCongPort(n.numVC)
 		}
-		return op
 	}
 	// Routers and their output ports.
 	n.Routers = make([]*Router, topo.NumRouters())
 	for r := range n.Routers {
 		sh := shardOf(topology.RouterID(r))
 		rt := &Router{ID: topology.RouterID(r), net: n, sh: sh}
-		rt.mpBuf = make([]int, 0, topo.Radix(rt.ID))
-		rt.out = make([]*outPort, topo.Radix(rt.ID))
+		radix := topo.Radix(rt.ID)
+		rt.mpBuf = make([]int, 0, radix)
+		rt.out = make([]outPort, radix)
+		vcs := make([]vcQueue, radix*n.numVC)
 		for p := range rt.out {
-			rt.out[p] = newPort(sh, rt.ID, p, cfg.BufferBytes/n.numVC)
-			rt.out[p].linkDim, rt.out[p].linkWrap = topo.LinkDim(rt.ID, p)
+			op := &rt.out[p]
+			initPort(op, vcSlab(vcs, p), sh, rt.ID, p, cfg.BufferBytes/n.numVC)
+			op.linkDim, op.linkWrap = topo.LinkDim(rt.ID, p)
 		}
 		n.Routers[r] = rt
 	}
 	// NICs, co-located with their attach router's shard.
 	n.NICs = make([]*NIC, topo.NumTerminals())
+	nicPorts := make([]outPort, len(n.NICs))
+	nicVCs := make([]vcQueue, len(n.NICs)*n.numVC)
 	for t := range n.NICs {
 		r, _ := topo.TerminalAttach(topology.NodeID(t))
 		sh := shardOf(r)
@@ -196,7 +204,8 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 		// Source queues are effectively unbounded: the offered load is
 		// the experiment input and the growing injection queue is how
 		// saturation shows up as latency (§4.2's open-loop sources).
-		nic.out = newPort(sh, topology.None, 0, 1<<40)
+		nic.out = &nicPorts[t]
+		initPort(nic.out, vcSlab(nicVCs, t), sh, topology.None, 0, 1<<40)
 		nic.out.linkDim = -1
 		n.NICs[t] = nic
 	}
@@ -206,7 +215,7 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 		rt := n.Routers[r]
 		for p := range rt.out {
 			peer := topo.PortPeer(rt.ID, p)
-			op := rt.out[p]
+			op := &rt.out[p]
 			switch {
 			case peer.Unwired():
 				op.peer = nil
@@ -298,15 +307,6 @@ func (n *Network) SetSourceController(build func(node topology.NodeID) SourceCon
 	}
 }
 
-// SetPortMonitor attaches a PortMonitor to every router output port.
-func (n *Network) SetPortMonitor(m PortMonitor) {
-	for _, rt := range n.Routers {
-		for _, op := range rt.out {
-			op.monitor = m
-		}
-	}
-}
-
 // injectPredictiveAcks is the GPA module's network half (§3.3.2, §3.4.1):
 // originate one predictive ACK per contending flow, addressed to the flow's
 // source, carrying the full contending set and the reporting router.
@@ -368,7 +368,8 @@ type LinkStat struct {
 func (n *Network) LinkStats() []LinkStat {
 	var out []LinkStat
 	for _, rt := range n.Routers {
-		for p, op := range rt.out {
+		for p := range rt.out {
+			op := &rt.out[p]
 			out = append(out, LinkStat{
 				Router: rt.ID, Port: p, BusyNs: op.busyNs, Bytes: op.txBytes,
 				Wired: op.peer != nil,
@@ -401,9 +402,9 @@ func (n *Network) PacketPoolStats() (issued uint64, freePeak int) {
 func (n *Network) TotalQueuedBytes() int {
 	total := 0
 	for _, rt := range n.Routers {
-		for _, op := range rt.out {
-			for vc := range op.vcs {
-				total += op.vcs[vc].bytes
+		for p := range rt.out {
+			for _, q := range rt.out[p].vcs {
+				total += q.bytes
 			}
 		}
 	}

@@ -12,7 +12,8 @@ package network
 // link contributes two to down.
 func (n *Network) LinkHealthCounts() (down, degraded int) {
 	for _, rt := range n.Routers {
-		for _, op := range rt.out {
+		for i := range rt.out {
+			op := &rt.out[i]
 			if op.peer == nil {
 				continue
 			}

@@ -1,7 +1,9 @@
 package network
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"prdrb/internal/metrics"
 	"prdrb/internal/sim"
@@ -28,46 +30,69 @@ type parkedDelivery struct {
 	fromVC int
 }
 
-// vcQueue is one virtual channel's FIFO within an output port.
+// vcQueue is one virtual channel's FIFO within an output port, together
+// with the upstream deliveries parked on the VC waiting for its buffer
+// space, so arbitration and admission touch one record.
 type vcQueue struct {
-	q     []*Packet
-	bytes int
+	q      []*Packet
+	bytes  int
+	parked []parkedDelivery
 }
+
+// The per-port VC state masks are uint8: every VC must have a bit.
+const _ = uint(8 - maxVCs)
 
 // outPort is an output port with per-VC buffering, round-robin VC
 // arbitration (Fig 4.6) and a single serializing link.
+//
+// Arbitration state lives in three VC bitmasks kept in step with the
+// queues (bit vc set iff the condition holds for VC vc):
+//
+//   - queued:  vcs[vc].q is non-empty;
+//   - blocked: a packet of the VC sits in the downstream input latch
+//     awaiting buffer admission (or, across a shard boundary, its credit
+//     is in flight). The VC holds no credit — one per link and VC — but the
+//     physical link stays available to the other VCs; without this, one
+//     full VC would couple every class and void the per-segment deadlock
+//     freedom;
+//   - waiting: vcs[vc].parked is non-empty.
+//
+// Router ports are allocated as one slab per router and NIC ports as one
+// network-wide slab, each with their vcQueues in a parallel slab (build).
 type outPort struct {
+	// The leading 64 bytes hold everything Router.accept and pickVC read.
+	queued  uint8
+	blocked uint8
+	waiting uint8
+	rr      uint8 // round-robin arbitration pointer
+	busy    bool
+	// down marks a failed link: the queue is not served, no credits are
+	// emitted, and the in-flight packet is dropped on delivery (health.go).
+	down bool
+	// linkWrap and linkDim classify the attached link for dateline VC
+	// assignment (topology.LinkDim of the wired port).
+	linkWrap bool
+	vcs      []vcQueue
+	peer     receiver
+	vcCap    int // capacity per VC in bytes
+	linkDim  int
+
 	net    *Network
 	sh     *Shard            // owning shard (the serial network's only one)
 	router topology.RouterID // owning router, or -1 for a NIC port
-	port   int
-	peer   receiver
-	// remote marks a boundary link: the peer router lives on another
-	// shard and deliveries travel the cross-shard protocol (shard.go).
-	// Nil for intra-shard links and always nil in serial mode.
-	remote *remoteLink
+	// cong is the port's congestion accumulator (congestion.go); nil when
+	// congestion accounting is off, so disabled runs pay one predictable
+	// branch per hook and allocate nothing.
+	cong *congPort
+	// inflight is the packet between pump and deliver. At most one packet is
+	// ever in that window per port — busy is raised by pump and only cleared
+	// after the delivery completed (freeLink) — so the deliver event can
+	// carry just the VC in its payload word and find the packet here.
+	inflight *Packet
 	// txExtra is the fixed post-serialization delay: propagation plus, for
 	// router peers, the routing pipeline delay.
 	txExtra sim.Time
 
-	vcCap  int // capacity per VC in bytes
-	vcs    []vcQueue
-	parked [][]parkedDelivery
-	// parkedOut[vc] is true while a packet of this VC sits in the
-	// downstream input latch awaiting buffer admission: the VC is blocked
-	// (one credit per link and VC) but the physical link stays available
-	// to the other VCs — without this, one full VC would couple every
-	// class and void the per-segment deadlock freedom.
-	parkedOut []bool
-	rr        int // round-robin arbitration pointer
-	// linkDim / linkWrap classify the attached link for dateline VC
-	// assignment (topology.LinkDim of the wired port).
-	linkDim  int
-	linkWrap bool
-	busy     bool
-	// down marks a failed link: the queue is not served, no credits are
-	// emitted, and the in-flight packet is dropped on delivery (health.go).
-	down bool
 	// rate scales the link bandwidth when the link is degraded; 0 or 1
 	// means nominal rate.
 	rate float64
@@ -75,33 +100,21 @@ type outPort struct {
 	// cannot start the next packet before it even if the downstream
 	// accepted the (cut-through) header earlier.
 	serEnd sim.Time
-
-	// lastRouterAck rate-limits router-based predictive notifications.
-	lastRouterAck sim.Time
-
 	// busyNs and txBytes account link occupancy for the energy/provision
 	// analyses (§5.2 open lines).
 	busyNs  sim.Time
 	txBytes int64
-	// monitor hooks into the DRB/PR-DRB machinery at this router's ports.
-	// Nil for baselines and NIC ports.
-	monitor PortMonitor
-
-	// inflight is the packet between pump and deliver. At most one packet is
-	// ever in that window per port — busy is raised by pump and only cleared
-	// after the delivery completed (freeLink) — so the deliver event can
-	// carry just the VC in its payload word and find the packet here.
-	inflight *Packet
+	// remote marks a boundary link: the peer router lives on another
+	// shard and deliveries travel the cross-shard protocol (shard.go).
+	// Nil for intra-shard links and always nil in serial mode.
+	remote *remoteLink
 	// obs is the pre-resolved contention-metrics handle for this router's
 	// stats (invalid for NIC ports or when no collector is attached), so the
 	// hot path never indexes through the collector.
-	obs metrics.RouterObserver
-	// cong is the port's congestion accumulator (congestion.go); nil when
-	// congestion accounting is off, so disabled runs pay one predictable
-	// branch per hook and allocate nothing.
-	cong *congPort
-	// queuedScratch backs the monitor callback's queued list between calls.
-	queuedScratch []*Packet
+	obs  metrics.RouterObserver
+	port int
+	// lastRouterAck rate-limits router-based predictive notifications.
+	lastRouterAck sim.Time
 }
 
 // Typed event kinds delivered to an outPort (sim.Actor).
@@ -135,16 +148,6 @@ func (o *outPort) HandleEvent(e *sim.Engine, kind uint8, arg uint64) {
 	}
 }
 
-// PortMonitor receives the Latency Update / Contending Flows Detection
-// callbacks of the PR-DRB router (§3.3.2). Implementations live in
-// internal/core.
-type PortMonitor interface {
-	// PacketDeparting is called when a packet starts transmission after
-	// having waited `wait` in the port's buffers. queued lists the packets
-	// still occupying the port (the contending candidates).
-	PacketDeparting(e *sim.Engine, r topology.RouterID, pkt *Packet, wait sim.Time, queued []*Packet)
-}
-
 func (o *outPort) free(vc int) int { return o.vcCap - o.vcs[vc].bytes }
 
 // enqueue admits pkt into VC vc; the caller has verified space.
@@ -153,32 +156,31 @@ func (o *outPort) enqueue(e *sim.Engine, pkt *Packet, vc int) {
 	if o.cong != nil {
 		o.cong.enqueued(e.Now(), pkt.SizeBytes)
 	}
-	o.vcs[vc].q = append(o.vcs[vc].q, pkt)
-	o.vcs[vc].bytes += pkt.SizeBytes
+	q := &o.vcs[vc]
+	q.q = append(q.q, pkt)
+	q.bytes += pkt.SizeBytes
+	o.queued |= 1 << vc
 	o.pump(e)
 }
 
 // pickVC round-robins over the non-empty virtual channels, skipping VCs
-// whose downstream latch is occupied (no credit). The wrap is a compare,
-// not a modulo: this runs once per transmitted packet and the hardware
-// divide was a measurable slice of the whole simulation.
+// whose downstream latch is occupied (no credit): the first ready VC at or
+// after rr, else the first ready VC below it. This runs once per
+// transmitted packet, so it reads the two masks instead of the queues.
 func (o *outPort) pickVC() int {
-	n := len(o.vcs)
-	vc := o.rr
-	for i := 0; i < n; i++ {
-		if vc >= n {
-			vc -= n
-		}
-		if len(o.vcs[vc].q) > 0 && !o.parkedOut[vc] {
-			o.rr = vc + 1
-			if o.rr >= n {
-				o.rr = 0
-			}
-			return vc
-		}
-		vc++
+	ready := o.queued &^ o.blocked
+	if ready == 0 {
+		return -1
 	}
-	return -1
+	vc := bits.TrailingZeros8(ready)
+	if hi := ready >> o.rr << o.rr; hi != 0 {
+		vc = bits.TrailingZeros8(hi)
+	}
+	o.rr = uint8(vc + 1)
+	if int(o.rr) >= len(o.vcs) {
+		o.rr = 0
+	}
+	return vc
 }
 
 // pump starts transmitting the next queued packet if the link is idle. A
@@ -196,6 +198,9 @@ func (o *outPort) pump(e *sim.Engine) {
 	copy(q.q, q.q[1:])
 	q.q = q.q[:len(q.q)-1]
 	q.bytes -= pkt.SizeBytes
+	if len(q.q) == 0 {
+		o.queued &^= 1 << vc
+	}
 	o.busy = true
 
 	wait := e.Now() - pkt.enqueuedAt
@@ -263,7 +268,7 @@ func (o *outPort) pump(e *sim.Engine) {
 // instant the local path would have freed it.
 func (o *outPort) sendRemote(e *sim.Engine, pkt *Packet, vc int, cut sim.Time) {
 	arrive := e.Now() + cut + o.txExtra
-	o.parkedOut[vc] = true
+	o.blocked |= 1 << vc
 	o.net.group.Send(o.sh.Idx, o.remote.shard, sim.RemoteEvent{
 		At:     arrive,
 		Target: o.remote.target,
@@ -279,10 +284,10 @@ func (o *outPort) sendRemote(e *sim.Engine, pkt *Packet, vc int, cut sim.Time) {
 	e.ScheduleEvent(free, o, portEvFree, uint64(o.serEnd))
 }
 
-// monitorDeparture drives CFD (§3.3.2) and any attached PortMonitor. The
-// CFD machinery is gated on GenerateAcks: the predictive header it writes
-// is only ever read back through the ACK path, so runs without ACKs
-// (the oblivious baselines) skip the contending-flows bookkeeping entirely.
+// monitorDeparture drives CFD (§3.3.2). It is gated on GenerateAcks: the
+// predictive header it writes is only ever read back through the ACK
+// path, so runs without ACKs (the oblivious baselines) skip the
+// contending-flows bookkeeping entirely.
 func (o *outPort) monitorDeparture(e *sim.Engine, pkt *Packet, wait sim.Time) {
 	cfg := &o.net.Cfg
 	if cfg.GenerateAcks && wait > cfg.CongestionThreshold && pkt.Type == DataPacket {
@@ -305,18 +310,6 @@ func (o *outPort) monitorDeparture(e *sim.Engine, pkt *Packet, wait sim.Time) {
 			}
 		}
 	}
-	if o.monitor != nil {
-		// queuedScratch is reused between calls; the monitor contract is
-		// that the slice is only valid during the callback.
-		queued := o.queuedScratch[:0]
-		for vc := range o.vcs {
-			if !o.net.isAckVC(vc) {
-				queued = append(queued, o.vcs[vc].q...)
-			}
-		}
-		o.queuedScratch = queued
-		o.monitor.PacketDeparting(e, o.router, pkt, wait, queued)
-	}
 }
 
 // topContendingFlows implements the §3.2.7 selection: rank the flows
@@ -324,40 +317,46 @@ func (o *outPort) monitorDeparture(e *sim.Engine, pkt *Packet, wait sim.Time) {
 // above ContendShare, capped at MaxContending. The departing packet's own
 // flow is included — it is, by definition, contending here.
 func (o *outPort) topContendingFlows(departing *Packet) []FlowKey {
-	counts := map[FlowKey]int{departing.Flow(): departing.SizeBytes}
+	// One entry per buffered packet in the shard's scratch, sorted by flow
+	// and summed per flow in place: no map, and no allocation but the
+	// returned list (the caller keeps it in a packet header).
+	fb := append(o.sh.flowScratch[:0], flowBytes{departing.Flow(), departing.SizeBytes})
 	total := departing.SizeBytes
 	for vc := range o.vcs {
 		if o.net.isAckVC(vc) {
 			continue
 		}
 		for _, p := range o.vcs[vc].q {
-			counts[p.Flow()] += p.SizeBytes
+			fb = append(fb, flowBytes{p.Flow(), p.SizeBytes})
 			total += p.SizeBytes
 		}
 	}
-	if len(counts) < 2 {
-		// A single flow is not "contention between flows"; still useful to
-		// report so the source can identify self-induced congestion.
-		// The paper's examples always involve >= 2 flows; keep singletons.
-	}
-	type fc struct {
-		f FlowKey
-		b int
-	}
-	ranked := make([]fc, 0, len(counts))
-	for f, b := range counts {
-		if float64(b) >= o.net.Cfg.ContendShare*float64(total) {
-			ranked = append(ranked, fc{f, b})
+	o.sh.flowScratch = fb
+	slices.SortFunc(fb, func(a, b flowBytes) int {
+		if c := cmp.Compare(a.f.Src, b.f.Src); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.f.Dst, b.f.Dst)
+	})
+	floor := o.net.Cfg.ContendShare * float64(total)
+	ranked := fb[:0] // the write index never passes the read index
+	for i := 0; i < len(fb); {
+		cur := fb[i]
+		for i++; i < len(fb) && fb[i].f == cur.f; i++ {
+			cur.b += fb[i].b
+		}
+		if float64(cur.b) >= floor {
+			ranked = append(ranked, cur)
 		}
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].b != ranked[j].b {
-			return ranked[i].b > ranked[j].b
+	slices.SortFunc(ranked, func(a, b flowBytes) int {
+		if a.b != b.b {
+			return cmp.Compare(b.b, a.b)
 		}
-		if ranked[i].f.Src != ranked[j].f.Src {
-			return ranked[i].f.Src < ranked[j].f.Src
+		if c := cmp.Compare(a.f.Src, b.f.Src); c != 0 {
+			return c
 		}
-		return ranked[i].f.Dst < ranked[j].f.Dst
+		return cmp.Compare(a.f.Dst, b.f.Dst)
 	})
 	if len(ranked) > o.net.Cfg.MaxContending {
 		ranked = ranked[:o.net.Cfg.MaxContending]
@@ -369,19 +368,21 @@ func (o *outPort) topContendingFlows(departing *Packet) []FlowKey {
 	return out
 }
 
+// flowBytes is one flow's byte share of a port's buffers (CFD ranking).
+type flowBytes struct {
+	f FlowKey
+	b int
+}
+
 // mergeFlows merges new flows into an existing predictive header, keeping
-// order and the capacity cap.
+// order and the capacity cap. Headers hold at most MaxContending flows, so
+// a linear membership scan beats a set.
 func mergeFlows(have, add []FlowKey, max int) []FlowKey {
-	seen := make(map[FlowKey]bool, len(have))
-	for _, f := range have {
-		seen[f] = true
-	}
 	for _, f := range add {
 		if len(have) >= max {
 			break
 		}
-		if !seen[f] {
-			seen[f] = true
+		if !slices.Contains(have, f) {
 			have = append(have, f)
 		}
 	}
@@ -390,7 +391,7 @@ func mergeFlows(have, add []FlowKey, max int) []FlowKey {
 
 // deliver hands the packet to the downstream receiver. On refusal the
 // packet stays in the downstream input latch: the VC loses its credit
-// (parkedOut) but the link itself frees at serialization end, so other
+// (blocked) but the link itself frees at serialization end, so other
 // virtual channels keep flowing.
 func (o *outPort) deliver(e *sim.Engine, pkt *Packet, vc int) {
 	if o.peer == nil {
@@ -409,7 +410,7 @@ func (o *outPort) deliver(e *sim.Engine, pkt *Packet, vc int) {
 		pkt.dateline = true
 	}
 	if !o.peer.accept(e, pkt, o, vc) {
-		o.parkedOut[vc] = true
+		o.blocked |= 1 << vc
 		o.sh.creditsStalled++
 		if o.cong != nil && o.cong.stallFrom[vc] < 0 {
 			o.cong.stallFrom[vc] = e.Now()
@@ -428,7 +429,7 @@ func (o *outPort) deliver(e *sim.Engine, pkt *Packet, vc int) {
 // creditReturned runs when the downstream admits a previously parked
 // packet: the VC's credit comes back.
 func (o *outPort) creditReturned(e *sim.Engine, vc int) {
-	o.parkedOut[vc] = false
+	o.blocked &^= 1 << vc
 	if o.cong != nil {
 		if s := o.cong.stallFrom[vc]; s >= 0 {
 			o.cong.vcStallNs[vc] += int64(e.Now() - s)
@@ -453,11 +454,13 @@ func (o *outPort) freeLink(e *sim.Engine) {
 // admitParked moves waiting upstream deliveries into freed buffer space,
 // fairly across VCs, and resumes their senders.
 func (o *outPort) admitParked(e *sim.Engine) {
-	for vc := range o.vcs {
-		for len(o.parked[vc]) > 0 && o.free(vc) >= o.parked[vc][0].pkt.SizeBytes {
-			pd := o.parked[vc][0]
-			copy(o.parked[vc], o.parked[vc][1:])
-			o.parked[vc] = o.parked[vc][:len(o.parked[vc])-1]
+	for w := o.waiting; w != 0; w &= w - 1 {
+		vc := bits.TrailingZeros8(w)
+		q := &o.vcs[vc]
+		for len(q.parked) > 0 && o.free(vc) >= q.parked[0].pkt.SizeBytes {
+			pd := q.parked[0]
+			copy(q.parked, q.parked[1:])
+			q.parked = q.parked[:len(q.parked)-1]
 			o.enqueue(e, pd.pkt, vc)
 			if pd.from.sh != o.sh {
 				// The sender lives on another shard: its pessimistic
@@ -467,6 +470,9 @@ func (o *outPort) admitParked(e *sim.Engine) {
 			}
 			// Return the credit via a fresh event to bound recursion depth.
 			e.AfterEvent(0, pd.from, portEvCredit, uint64(pd.fromVC))
+		}
+		if len(q.parked) == 0 {
+			o.waiting &^= 1 << vc
 		}
 	}
 }

@@ -25,7 +25,9 @@ type Router struct {
 	ID  topology.RouterID
 	net *Network
 	sh  *Shard // owning shard; all of this router's events run on its engine
-	out []*outPort
+	// out is the router's port slab, indexed by port; its vcQueues live in
+	// one parallel slab (Network.build).
+	out []outPort
 	// mpBuf is this router's private MinimalPorts scratch (cap = radix).
 	// Routing decisions for a router always run on its shard's engine, so
 	// per-router scratch is race-free under parallel shards while keeping
@@ -61,13 +63,15 @@ func (r *Router) accept(e *sim.Engine, pkt *Packet, from *outPort, fromVC int) b
 		panic(fmt.Sprintf("network: policy %q chose invalid port %d at router %d for %v",
 			r.net.Policy.Name(), port, r.ID, pkt.Flow()))
 	}
-	op := r.out[port]
+	op := &r.out[port]
 	vc := r.net.prepareVC(op, pkt)
 	if op.free(vc) >= pkt.SizeBytes {
 		op.enqueue(e, pkt, vc)
 		return true
 	}
-	op.parked[vc] = append(op.parked[vc], parkedDelivery{pkt: pkt, from: from, fromVC: fromVC})
+	q := &op.vcs[vc]
+	q.parked = append(q.parked, parkedDelivery{pkt: pkt, from: from, fromVC: fromVC})
+	op.waiting |= 1 << vc
 	return false
 }
 
@@ -81,7 +85,7 @@ func (r *Router) injectAck(e *sim.Engine, ack *Packet) bool {
 	if port < 0 || port >= len(r.out) || r.out[port].peer == nil {
 		return false
 	}
-	op := r.out[port]
+	op := &r.out[port]
 	vc := r.net.prepareVC(op, ack)
 	if op.free(vc) < ack.SizeBytes {
 		return false

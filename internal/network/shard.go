@@ -74,6 +74,9 @@ type Shard struct {
 	reachSets      map[topology.RouterID][]bool
 	ackDetourEpoch uint64
 	ackDetours     map[flowPair]topology.Path
+
+	// flowScratch backs outPort.topContendingFlows between calls.
+	flowScratch []flowBytes
 }
 
 // remoteLink marks a boundary output port: the far end of the link lives

@@ -5,6 +5,15 @@
 // per-shard imbalance ratios, window-time histograms and an effective
 // speedup estimate.
 //
+// Each shard is timed from its own start. When the shards of a window run
+// in line on the coordinator (GOMAXPROCS=1) shard i starts where shard i-1
+// finished, so it is never charged the earlier shards' run time; either
+// way a shard's busy plus idle time is the window's execution wall. When
+// the shards cannot all run at once — fewer Ps or cores than shards — the
+// report is marked concurrency=sequential: idle time is then time spent
+// waiting for a turn, not load imbalance, and the profiler reports no
+// imbalance or effective-speedup figure.
+//
 // The profiler attaches to a sim.ShardGroup through the GroupProbe hook
 // (sim itself never reads the wall clock, keeping simulation results a
 // pure function of configuration and seed) and to serial engines by
@@ -21,6 +30,7 @@
 package perf
 
 import (
+	"runtime"
 	"time"
 
 	"prdrb/internal/metrics"
@@ -41,11 +51,14 @@ type Options struct {
 	Trace bool
 }
 
-// ShardSpan is one shard's share of a traced window.
+// ShardSpan is one shard's share of a traced window. StartNs offsets the
+// shard's execution from the window's ExecNs (non-zero when the shards ran
+// in line, one after another).
 type ShardSpan struct {
-	BusyNs int64
-	IdleNs int64
-	Events uint64
+	StartNs int64
+	BusyNs  int64
+	IdleNs  int64
+	Events  uint64
 }
 
 // WindowSpan is one traced barrier window. All *Ns offsets are wall
@@ -67,12 +80,13 @@ type WindowSpan struct {
 // Profiler accumulates wall-clock accounting across one or more runs.
 //
 // Concurrency: ShardDone is the only method invoked off the coordinator
-// goroutine; it touches only its shard's slot in doneWall/doneEvents
-// (distinct elements, ordered against the coordinator by the group's
-// spawn/join edges). Everything else — including Snapshot and Report —
-// must run on the coordinator goroutine or happen-after the run, which
-// is exactly the contract of barrier hooks, sampler actors and
-// post-Execute artifact writers.
+// goroutine; it touches only its shard's slot in winStart/winBusy/
+// doneEvents (distinct elements, ordered against the coordinator by the
+// group's spawn/join edges), and the shared lastDone only when the shards
+// run in line on the coordinator itself. Everything else — including
+// Snapshot and Report — must run on the coordinator goroutine or
+// happen-after the run, which is exactly the contract of barrier hooks,
+// sampler actors and post-Execute artifact writers.
 type Profiler struct {
 	opts Options
 
@@ -90,15 +104,23 @@ type Profiler struct {
 	runStart time.Time
 	wallNs   int64
 
-	// Per-window marks (coordinator), plus per-shard done marks written
-	// concurrently by shard worker goroutines.
+	// Per-window marks (coordinator), plus per-shard marks written
+	// concurrently by shard worker goroutines. inline is set at WindowExec
+	// when the group runs its shards one after another on the coordinator;
+	// lastDone then chains each shard's start to the previous one's end.
 	winStartWall time.Time
 	execWall     time.Time
 	barrierWall  time.Time
 	flushWall    time.Time
 	vStart, vEnd sim.Time
-	doneWall     []time.Time
+	inline       bool
+	lastDone     time.Time
+	winStart     []int64 // shard start, ns after execWall
+	winBusy      []int64
 	doneEvents   []uint64
+	// sequential latches once any profiled window (or serial run) could
+	// not run all its shards at once.
+	sequential bool
 
 	// Aggregates. Per-shard slices are sized to the widest bind seen.
 	windows                 uint64
@@ -131,8 +153,9 @@ func (p *Profiler) grow(n int) {
 		p.farMigrations = append(p.farMigrations, 0)
 		p.winHist = append(p.winHist, metrics.NewHistogram())
 	}
-	for len(p.doneWall) < n {
-		p.doneWall = append(p.doneWall, time.Time{})
+	for len(p.winBusy) < n {
+		p.winStart = append(p.winStart, 0)
+		p.winBusy = append(p.winBusy, 0)
 		p.doneEvents = append(p.doneEvents, 0)
 	}
 }
@@ -161,6 +184,7 @@ func (p *Profiler) BindSerial(statsFn func() []sim.EngineStats) {
 	}
 	p.sharded = false
 	p.curShards = 1
+	p.sequential = true
 	p.grow(1)
 	p.statsFn = statsFn
 	p.lastStats = nil
@@ -228,27 +252,46 @@ func (p *Profiler) WindowStart(winStart, winEnd sim.Time) {
 	p.vStart, p.vEnd = winStart, winEnd
 }
 
-// WindowExec implements sim.GroupProbe.
+// WindowExec implements sim.GroupProbe. It also reads how the group
+// will run the window's shards: sim.ShardGroup runs them in line when
+// GOMAXPROCS is 1, and they take turns whenever there are fewer Ps or
+// cores than shards.
 func (p *Profiler) WindowExec() {
+	procs := runtime.GOMAXPROCS(0)
+	p.inline = procs == 1
+	if procs < p.curShards || runtime.NumCPU() < p.curShards {
+		p.sequential = true
+	}
 	p.execWall = time.Now()
+	p.lastDone = p.execWall
 	p.ctrlNs += p.execWall.Sub(p.winStartWall).Nanoseconds()
 }
 
 // ShardDone implements sim.GroupProbe. Safe concurrently across shards:
-// each call touches only its own slot.
+// each call touches only its own slot (and lastDone only when the shards
+// run in line on the coordinator).
 func (p *Profiler) ShardDone(shard int, events uint64) {
-	p.doneWall[shard] = time.Now()
+	now := time.Now()
+	start := p.execWall
+	if p.inline {
+		start = p.lastDone
+		p.lastDone = now
+	}
+	p.winStart[shard] = start.Sub(p.execWall).Nanoseconds()
+	p.winBusy[shard] = now.Sub(start).Nanoseconds()
 	p.doneEvents[shard] = events
 }
 
 // BarrierStart implements sim.GroupProbe: all shards have joined, so the
-// per-shard done marks are visible and the window's busy/idle split is
-// final. Busy is exec-start → shard done; idle is shard done → barrier
-// (waiting for the slowest shard — the imbalance cost).
+// per-shard marks are visible and the window's busy/idle split is final.
+// Busy is the shard's own start → shard done; idle is the rest of the
+// window's execution wall (exec start → barrier), so busy + idle is the
+// same wall for every shard.
 func (p *Profiler) BarrierStart(winEnd sim.Time) {
 	now := time.Now()
 	p.barrierWall = now
 	p.windows++
+	wall := now.Sub(p.execWall).Nanoseconds()
 	var span *WindowSpan
 	if p.opts.Trace {
 		if len(p.spans) < maxTraceSpans {
@@ -267,20 +310,14 @@ func (p *Profiler) BarrierStart(winEnd sim.Time) {
 		p.spanOpen = span != nil
 	}
 	for i := 0; i < p.curShards; i++ {
-		busy := p.doneWall[i].Sub(p.execWall).Nanoseconds()
-		if busy < 0 {
-			busy = 0
-		}
-		idle := now.Sub(p.doneWall[i]).Nanoseconds()
-		if idle < 0 {
-			idle = 0
-		}
+		busy := p.winBusy[i]
+		idle := wall - busy
 		p.busyNs[i] += busy
 		p.idleNs[i] += idle
 		p.events[i] += p.doneEvents[i]
 		p.winHist[i].Observe(sim.Time(busy))
 		if span != nil {
-			span.Shards[i] = ShardSpan{BusyNs: busy, IdleNs: idle, Events: p.doneEvents[i]}
+			span.Shards[i] = ShardSpan{StartNs: p.winStart[i], BusyNs: busy, IdleNs: idle, Events: p.doneEvents[i]}
 		}
 	}
 }
@@ -334,9 +371,31 @@ func (p *Profiler) totals() (busy, idle int64, events uint64) {
 	return busy, idle, events
 }
 
+// Concurrency values of Report and telemetry.PerfStatus.
+const (
+	// ConcurrencyParallel: every profiled window could run all its shards
+	// at once.
+	ConcurrencyParallel = "parallel"
+	// ConcurrencySequential: shards took turns (fewer Ps or cores than
+	// shards, or a serial engine), so imbalance and speedup are undefined.
+	ConcurrencySequential = "sequential"
+)
+
+// concurrency reports how the profiled shards ran.
+func (p *Profiler) concurrency() string {
+	if p.sequential {
+		return ConcurrencySequential
+	}
+	return ConcurrencyParallel
+}
+
 // imbalance is max per-shard busy over the mean (1 = perfectly
-// balanced). Shards that never ran don't count toward the mean.
+// balanced), or 0 when the shards ran sequentially. Shards that never ran
+// don't count toward the mean.
 func (p *Profiler) imbalance() float64 {
+	if p.sequential {
+		return 0
+	}
 	var max, sum int64
 	n := 0
 	for _, b := range p.busyNs {
@@ -371,6 +430,14 @@ func (p *Profiler) RegisterMetrics(r *telemetry.Registry) {
 	r.Gauge("perf.ctrl_ns", func() int64 { return p.ctrlNs })
 	r.Gauge("perf.hook_ns", func() int64 { return p.hookNs })
 	r.Gauge("perf.flush_ns", func() int64 { return p.flushNs })
+	// perf.concurrent is 1 while every window ran its shards at once;
+	// perf.imbalance_pct reads 0 when it is not.
+	r.Gauge("perf.concurrent", func() int64 {
+		if p.sequential {
+			return 0
+		}
+		return 1
+	})
 	r.Gauge("perf.imbalance_pct", func() int64 { return int64(p.imbalance() * 100) })
 	r.Gauge("perf.idle_pct", func() int64 {
 		busy, idle, _ := p.totals()
@@ -405,8 +472,9 @@ func (p *Profiler) Snapshot() *telemetry.PerfStatus {
 		HookNs:           p.hookNs,
 		FlushNs:          p.flushNs,
 		RemoteRecords:    p.remote,
+		Concurrency:      p.concurrency(),
 		ImbalanceRatio:   p.imbalance(),
-		EffectiveSpeedup: speedup(busy, p.curWallNs()),
+		EffectiveSpeedup: p.speedup(busy),
 	}
 	if busy+idle > 0 {
 		st.IdleFraction = float64(idle) / float64(busy+idle)
@@ -425,8 +493,11 @@ func (p *Profiler) Snapshot() *telemetry.PerfStatus {
 	return st
 }
 
-func speedup(busy, wall int64) float64 {
-	if wall <= 0 {
+// speedup is total shard busy time over the profiled wall time, or 0 when
+// the shards ran sequentially.
+func (p *Profiler) speedup(busy int64) float64 {
+	wall := p.curWallNs()
+	if p.sequential || wall <= 0 {
 		return 0
 	}
 	return float64(busy) / float64(wall)

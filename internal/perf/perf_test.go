@@ -3,6 +3,7 @@ package perf
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestProfilerShardedAggregation(t *testing.T) {
 	if r.WallNs <= 0 || r.BusyNs < 0 || r.IdleNs < 0 {
 		t.Fatalf("wall accounting wrong: %+v", r)
 	}
-	if r.ImbalanceRatio < 1 {
+	if r.Concurrency == ConcurrencyParallel && r.ImbalanceRatio < 1 {
 		t.Fatalf("imbalance %v < 1", r.ImbalanceRatio)
 	}
 	if r.TraceSpans != int(r.Windows) {
@@ -75,6 +76,63 @@ func TestProfilerShardedAggregation(t *testing.T) {
 	}
 	if evs != r.TotalEvents {
 		t.Fatalf("per-shard events sum %d != total %d", evs, r.TotalEvents)
+	}
+}
+
+// Every shard is timed from its own start, so a shard's busy plus idle
+// time is the window's execution wall whether the shards run in line
+// (GOMAXPROCS=1) or as goroutines: over the run, busy + idle summed over
+// shards is shards × exec wall. In line, each shard starts where the
+// previous one finished, and the report carries no imbalance or speedup.
+func TestProfilerBusyIdleSumToExecWall(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		p, _ := runProfiled(t, Options{Trace: true})
+		runtime.GOMAXPROCS(prev)
+		r := p.Report()
+		if r.DroppedSpans != 0 || r.TraceSpans != int(r.Windows) {
+			t.Fatalf("procs=%d: %d spans for %d windows", procs, r.TraceSpans, r.Windows)
+		}
+		var execWall int64
+		for _, sp := range p.spans {
+			execWall += sp.BarrierNs - sp.ExecNs
+			for i, ss := range sp.Shards {
+				if ss.BusyNs < 0 || ss.IdleNs < 0 || ss.StartNs < 0 || ss.BusyNs+ss.IdleNs != sp.BarrierNs-sp.ExecNs {
+					t.Fatalf("procs=%d shard %d: span %+v in a %d ns window", procs, i, ss, sp.BarrierNs-sp.ExecNs)
+				}
+			}
+			if procs == 1 {
+				a, b := sp.Shards[0], sp.Shards[1]
+				if b.StartNs < a.StartNs+a.BusyNs {
+					t.Fatalf("in line, shard 1 starts at %d ns, before shard 0 ends at %d ns", b.StartNs, a.StartNs+a.BusyNs)
+				}
+			}
+		}
+		if got, want := r.BusyNs+r.IdleNs, int64(r.Shards)*execWall; got != want {
+			t.Fatalf("procs=%d: busy+idle = %d ns, want shards × exec wall = %d ns", procs, got, want)
+		}
+		for _, s := range r.PerShard {
+			if s.BusyNs+s.IdleNs != execWall {
+				t.Fatalf("procs=%d shard %d: busy+idle = %d ns, exec wall %d ns", procs, s.Shard, s.BusyNs+s.IdleNs, execWall)
+			}
+		}
+		var text bytes.Buffer
+		r.WriteText(&text, false)
+		if procs == 1 || runtime.NumCPU() < r.Shards {
+			if r.Concurrency != ConcurrencySequential || r.ImbalanceRatio != 0 || r.EffectiveSpeedup != 0 {
+				t.Fatalf("procs=%d: sequential run reports %s imbalance=%v speedup=%v",
+					procs, r.Concurrency, r.ImbalanceRatio, r.EffectiveSpeedup)
+			}
+			if out := text.String(); !strings.Contains(out, "concurrency=sequential") || strings.Contains(out, "imbalance=") {
+				t.Fatalf("procs=%d: sequential rendering:\n%s", procs, out)
+			}
+			if snap := p.Snapshot(); snap.Concurrency != ConcurrencySequential || snap.ImbalanceRatio != 0 || snap.EffectiveSpeedup != 0 {
+				t.Fatalf("procs=%d: sequential snapshot %+v", procs, snap)
+			}
+		} else if r.Concurrency != ConcurrencyParallel || r.ImbalanceRatio < 1 ||
+			!strings.Contains(text.String(), "imbalance=") {
+			t.Fatalf("procs=%d: parallel run reports %s imbalance=%v", procs, r.Concurrency, r.ImbalanceRatio)
+		}
 	}
 }
 

@@ -54,12 +54,17 @@ type Report struct {
 	// IdleNs sums barrier waits.
 	BusyNs int64 `json:"busy_ns"`
 	IdleNs int64 `json:"idle_ns"`
+	// Concurrency is ConcurrencyParallel or ConcurrencySequential (empty
+	// in reports written before the field existed).
+	Concurrency string `json:"concurrency,omitempty"`
 	// ImbalanceRatio is max per-shard busy over the mean; IdleFraction
 	// is IdleNs/(BusyNs+IdleNs); EffectiveSpeedup is BusyNs/WallNs — the
 	// parallelism actually realized (1 ≈ serial, N ≈ perfect N-way).
-	ImbalanceRatio   float64       `json:"imbalance_ratio"`
+	// Imbalance and speedup are 0 (absent) when the shards ran
+	// sequentially: idle time then measures waiting for a core.
+	ImbalanceRatio   float64       `json:"imbalance_ratio,omitempty"`
 	IdleFraction     float64       `json:"idle_fraction"`
-	EffectiveSpeedup float64       `json:"effective_speedup"`
+	EffectiveSpeedup float64       `json:"effective_speedup,omitempty"`
 	PerShard         []ShardReport `json:"per_shard"`
 	// TraceSpans/DroppedSpans document Perfetto trace coverage when
 	// tracing was on (truncation is never silent).
@@ -90,8 +95,9 @@ func (p *Profiler) Report() Report {
 		FlushNs:          p.flushNs,
 		BusyNs:           busy,
 		IdleNs:           idle,
+		Concurrency:      p.concurrency(),
 		ImbalanceRatio:   p.imbalance(),
-		EffectiveSpeedup: speedup(busy, p.curWallNs()),
+		EffectiveSpeedup: p.speedup(busy),
 		TraceSpans:       len(p.spans),
 		DroppedSpans:     p.droppedSpans,
 	}
@@ -120,6 +126,15 @@ func (p *Profiler) Report() Report {
 		r.PerShard = append(r.PerShard, sr)
 	}
 	return r
+}
+
+// BalanceText renders the load-balance figures for one-line summaries:
+// imbalance and effective speedup, or why there are none.
+func (r Report) BalanceText() string {
+	if r.Concurrency == ConcurrencySequential {
+		return "concurrency=sequential (no imbalance or speedup figure)"
+	}
+	return fmt.Sprintf("imbalance=%.2f speedup=%.2fx", r.ImbalanceRatio, r.EffectiveSpeedup)
 }
 
 // WriteReport writes the report as indented JSON to w.
@@ -202,8 +217,17 @@ func (r Report) WriteText(w io.Writer, detOnly bool) {
 			s.Shard, ms(s.BusyNs), ms(s.IdleNs), s.IdleFraction*100,
 			s.EventsPerSec, usF(s.WindowP50Ns), usF(s.WindowP99Ns))
 	}
-	fmt.Fprintf(w, "imbalance=%.3fx idle_fraction=%.1f%% effective_speedup=%.3fx\n",
-		r.ImbalanceRatio, r.IdleFraction*100, r.EffectiveSpeedup)
+	if r.Concurrency == ConcurrencySequential {
+		fmt.Fprintf(w, "concurrency=sequential: the shards did not run at once (a serial engine, or fewer\n")
+		fmt.Fprintf(w, "Ps or cores than shards), so idle is time waiting for a turn; imbalance and\n")
+		fmt.Fprintf(w, "effective speedup are not measurable\n")
+	} else {
+		if r.Concurrency != "" {
+			fmt.Fprintf(w, "concurrency=%s\n", r.Concurrency)
+		}
+		fmt.Fprintf(w, "imbalance=%.3fx idle_fraction=%.1f%% effective_speedup=%.3fx\n",
+			r.ImbalanceRatio, r.IdleFraction*100, r.EffectiveSpeedup)
+	}
 	if r.TraceSpans > 0 || r.DroppedSpans > 0 {
 		fmt.Fprintf(w, "trace: %d window spans retained, %d dropped past the cap\n",
 			r.TraceSpans, r.DroppedSpans)

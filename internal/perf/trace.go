@@ -71,12 +71,14 @@ func (p *Profiler) TraceEvents() []telemetry.ChromeEvent {
 				Args: map[string]any{"window": wi, "remote_records": sp.Remote},
 			})
 		}
-		// Shard tracks: execution slice, then the barrier wait.
+		// Shard tracks: execution slice from the shard's own start, then
+		// the wait for the barrier.
 		for si, ss := range sp.Shards {
+			start := sp.ExecNs + ss.StartNs
 			if ss.BusyNs > 0 {
 				events = append(events, telemetry.ChromeEvent{
 					Name: fmt.Sprintf("win@%dns", sp.VStartNs), Cat: "window", Ph: "X",
-					Ts: telemetry.Us(sp.ExecNs), Dur: telemetry.Us(ss.BusyNs),
+					Ts: telemetry.Us(start), Dur: telemetry.Us(ss.BusyNs),
 					Pid: chromePidEngine, Tid: si + 1,
 					Args: map[string]any{
 						"window":       wi,
@@ -86,10 +88,10 @@ func (p *Profiler) TraceEvents() []telemetry.ChromeEvent {
 					},
 				})
 			}
-			if ss.IdleNs > 0 {
+			if wait := sp.BarrierNs - start - ss.BusyNs; wait > 0 {
 				events = append(events, telemetry.ChromeEvent{
 					Name: "barrier-wait", Cat: "idle", Ph: "X",
-					Ts: telemetry.Us(sp.ExecNs + ss.BusyNs), Dur: telemetry.Us(ss.IdleNs),
+					Ts: telemetry.Us(start + ss.BusyNs), Dur: telemetry.Us(wait),
 					Pid: chromePidEngine, Tid: si + 1,
 					Args: map[string]any{"window": wi},
 				})

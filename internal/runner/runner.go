@@ -451,10 +451,22 @@ func (s *Sim) registerStandardMetrics(r *telemetry.Registry) {
 	}
 }
 
+// Validate reports the first out-of-range field of the experiment (after
+// New has applied the package defaults).
+func (e *Experiment) Validate() error {
+	if e.Shards < 0 {
+		return fmt.Errorf("prdrb: shard count must not be negative, got %d", e.Shards)
+	}
+	return nil
+}
+
 // New builds the network, installs the routing policy and, for the DRB
 // family, one source controller per node.
 func New(exp Experiment) (*Sim, error) {
 	b := newBuilder(exp)
+	if err := b.exp.Validate(); err != nil {
+		return nil, err
+	}
 	if err := b.resolvePolicy(); err != nil {
 		return nil, err
 	}
@@ -524,7 +536,7 @@ func (s *Sim) InstallPattern(spec PatternSpec) error {
 	if pkt == 0 {
 		pkt = s.Net.Cfg.PacketBytes
 	}
-	src := traffic.Install(s.Net, traffic.Spec{
+	src, err := traffic.Install(s.Net, traffic.Spec{
 		Pattern:     p,
 		RateBps:     spec.RateMbps * 1e6,
 		PacketBytes: pkt,
@@ -532,6 +544,9 @@ func (s *Sim) InstallPattern(spec PatternSpec) error {
 		End:         spec.End,
 		Nodes:       spec.Nodes,
 	}, s.rng.Split(0x7a))
+	if err != nil {
+		return err
+	}
 	s.sources = append(s.sources, src)
 	s.logConfig("pattern %+v", spec)
 	return nil
@@ -539,13 +554,13 @@ func (s *Sim) InstallPattern(spec PatternSpec) error {
 
 // InstallHotSpot schedules fixed colliding flows (§4.5) at the given
 // per-source rate within [start, end).
-func (s *Sim) InstallHotSpot(flows map[topology.NodeID]topology.NodeID, rateMbps float64, start, end sim.Time) {
+func (s *Sim) InstallHotSpot(flows map[topology.NodeID]topology.NodeID, rateMbps float64, start, end sim.Time) error {
 	var nodes []topology.NodeID
 	for src := range flows {
 		nodes = append(nodes, src)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	src := traffic.Install(s.Net, traffic.Spec{
+	src, err := traffic.Install(s.Net, traffic.Spec{
 		Pattern:     traffic.NewHotSpot(flows),
 		RateBps:     rateMbps * 1e6,
 		PacketBytes: s.Net.Cfg.PacketBytes,
@@ -553,8 +568,12 @@ func (s *Sim) InstallHotSpot(flows map[topology.NodeID]topology.NodeID, rateMbps
 		End:         end,
 		Nodes:       nodes,
 	}, s.rng.Split(0x45))
+	if err != nil {
+		return err
+	}
 	s.sources = append(s.sources, src)
 	s.logConfig("hotspot flows=%d rate=%v start=%d end=%d", len(flows), rateMbps, start, end)
+	return nil
 }
 
 // BurstSpec describes repeated communication bursts (Fig 2.6).
@@ -602,8 +621,11 @@ func (s *Sim) InstallBursts(spec BurstSpec) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	end, src := traffic.InstallBursts(s.Net, []traffic.Burst{b}, spec.Start, spec.Count,
+	end, src, err := traffic.InstallBursts(s.Net, []traffic.Burst{b}, spec.Start, spec.Count,
 		s.Net.Cfg.PacketBytes, s.rng.Split(0x6b))
+	if err != nil {
+		return 0, err
+	}
 	s.sources = append(s.sources, src)
 	s.logConfig("bursts %+v", spec)
 	return end, nil
@@ -625,8 +647,11 @@ func (s *Sim) InstallVariableBursts(specs []BurstSpec, count int) (sim.Time, err
 		}
 		bursts[i] = b
 	}
-	end, src := traffic.InstallBursts(s.Net, bursts, specs[0].Start, count,
+	end, src, err := traffic.InstallBursts(s.Net, bursts, specs[0].Start, count,
 		s.Net.Cfg.PacketBytes, s.rng.Split(0x5e))
+	if err != nil {
+		return 0, err
+	}
 	s.sources = append(s.sources, src)
 	s.logConfig("varbursts %+v count=%d", specs, count)
 	return end, nil
@@ -655,6 +680,29 @@ type HeavyTailSpec struct {
 	Start, End      sim.Time
 }
 
+// Validate reports the first out-of-range field of the spec. PLocal is
+// checked whatever the pattern: a probability above 1 is a typo, not a
+// setting the uniform pattern may silently ignore.
+func (spec HeavyTailSpec) Validate() error {
+	switch {
+	case !(spec.LoadMbps > 0): // also rejects NaN
+		return fmt.Errorf("prdrb: heavy-tail load must be positive, got %g Mbps", spec.LoadMbps)
+	case !(spec.PLocal >= 0 && spec.PLocal <= 1):
+		return fmt.Errorf("prdrb: heavy-tail PLocal %g out of [0,1]", spec.PLocal)
+	case spec.MaxFlowBytes < 0:
+		return fmt.Errorf("prdrb: heavy-tail MaxFlowBytes must not be negative, got %d", spec.MaxFlowBytes)
+	case spec.GroupSize < 0:
+		return fmt.Errorf("prdrb: heavy-tail GroupSize must not be negative, got %d", spec.GroupSize)
+	case spec.OnMean <= 0:
+		return fmt.Errorf("prdrb: heavy-tail ON duration must be positive, got %v", spec.OnMean)
+	case spec.OffMean < 0:
+		return fmt.Errorf("prdrb: heavy-tail OFF duration must not be negative, got %v", spec.OffMean)
+	case spec.End <= spec.Start:
+		return fmt.Errorf("prdrb: empty heavy-tail window [%v, %v)", spec.Start, spec.End)
+	}
+	return nil
+}
+
 // rackSize returns the default locality-group width: a full group on a
 // dragonfly, otherwise the terminals of one router (the "rack" under a
 // single top-of-rack switch). All topologies here attach terminals
@@ -679,6 +727,9 @@ func rackSize(topo topology.Topology) int {
 
 // InstallHeavyTail schedules the heavy-tailed workload on the simulation.
 func (s *Sim) InstallHeavyTail(spec HeavyTailSpec) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
 	cdf, err := traffic.CDFByName(spec.CDF)
 	if err != nil {
 		return err
@@ -696,12 +747,11 @@ func (s *Sim) InstallHeavyTail(spec HeavyTailSpec) error {
 		if size == 0 {
 			size = rackSize(s.Net.Topo)
 		}
-		p = traffic.NewGroupLocal(n, size, spec.PLocal)
+		if p, err = traffic.NewGroupLocal(n, size, spec.PLocal); err != nil {
+			return err
+		}
 	default:
 		return fmt.Errorf("prdrb: unknown heavy-tail pattern %q", spec.Pattern)
-	}
-	if spec.LoadMbps <= 0 {
-		return fmt.Errorf("prdrb: heavy-tail spec needs a positive load")
 	}
 	if s.Net.CongestionEnabled() {
 		// Flow classes track the installed distribution: mice end at its
@@ -715,7 +765,7 @@ func (s *Sim) InstallHeavyTail(spec HeavyTailSpec) error {
 		s.setFCTThresholds(mice, elephant)
 		s.logConfig("fct-thresholds mice=%d elephant=%d", mice, elephant)
 	}
-	src := traffic.InstallHeavyTail(s.Net, traffic.HeavyTail{
+	src, err := traffic.InstallHeavyTail(s.Net, traffic.HeavyTail{
 		Pattern:  p,
 		Sizes:    cdf,
 		FlowRate: spec.LoadMbps * 1e6 / (8 * cdf.Mean()),
@@ -724,6 +774,9 @@ func (s *Sim) InstallHeavyTail(spec HeavyTailSpec) error {
 		Start:    spec.Start,
 		End:      spec.End,
 	}, s.rng.Split(0x9d))
+	if err != nil {
+		return err
+	}
 	s.sources = append(s.sources, src)
 	s.logConfig("heavytail %+v", spec)
 	return nil

@@ -66,13 +66,17 @@ type PerfStatus struct {
 	FlushNs int64 `json:"flush_ns"`
 	// RemoteRecords counts cross-shard handoffs flushed (deterministic).
 	RemoteRecords uint64 `json:"remote_records"`
+	// Concurrency is "parallel" when every window could run all shards
+	// at once and "sequential" when they took turns.
+	Concurrency string `json:"concurrency"`
 	// ImbalanceRatio is max per-shard busy time over the mean (1 =
 	// perfectly balanced); IdleFraction is total barrier-wait over total
 	// shard wall time; EffectiveSpeedup is total busy time over the
-	// windowed wall time (the parallelism actually realized).
-	ImbalanceRatio   float64           `json:"imbalance_ratio"`
+	// windowed wall time (the parallelism actually realized). Imbalance
+	// and speedup are absent when the shards ran sequentially.
+	ImbalanceRatio   float64           `json:"imbalance_ratio,omitempty"`
 	IdleFraction     float64           `json:"idle_fraction"`
-	EffectiveSpeedup float64           `json:"effective_speedup"`
+	EffectiveSpeedup float64           `json:"effective_speedup,omitempty"`
 	Shards           []PerfShardStatus `json:"shards,omitempty"`
 }
 

@@ -170,14 +170,14 @@ type GroupLocal struct {
 
 // NewGroupLocal validates and builds the pattern. GroupSize must divide
 // into at least two groups for the remote branch to have any targets.
-func NewGroupLocal(nodes, groupSize int, pLocal float64) GroupLocal {
+func NewGroupLocal(nodes, groupSize int, pLocal float64) (GroupLocal, error) {
 	if groupSize < 2 || nodes <= groupSize {
-		panic(fmt.Sprintf("traffic: group-local pattern needs 2 <= groupSize < nodes, got %d/%d", groupSize, nodes))
+		return GroupLocal{}, fmt.Errorf("traffic: group-local pattern needs 2 <= groupSize < nodes, got %d/%d", groupSize, nodes)
 	}
-	if pLocal < 0 || pLocal > 1 {
-		panic(fmt.Sprintf("traffic: pLocal %g out of [0,1]", pLocal))
+	if !(pLocal >= 0 && pLocal <= 1) {
+		return GroupLocal{}, fmt.Errorf("traffic: pLocal %g out of [0,1]", pLocal)
 	}
-	return GroupLocal{Nodes: nodes, GroupSize: groupSize, PLocal: pLocal}
+	return GroupLocal{Nodes: nodes, GroupSize: groupSize, PLocal: pLocal}, nil
 }
 
 // Name implements Pattern.
@@ -230,23 +230,31 @@ type HeavyTail struct {
 	MPIType uint8
 }
 
+// validate reports the first inconsistency in the spec.
+func (h *HeavyTail) validate() error {
+	switch {
+	case !(h.FlowRate > 0): // also rejects NaN
+		return fmt.Errorf("traffic: heavy-tail spec needs a positive flow rate, got %g", h.FlowRate)
+	case h.Sizes == nil:
+		return fmt.Errorf("traffic: heavy-tail spec needs a flow-size CDF")
+	case h.OnMean <= 0:
+		return fmt.Errorf("traffic: heavy-tail spec needs a positive ON duration, got %d ns", h.OnMean)
+	case h.OffMean < 0:
+		return fmt.Errorf("traffic: heavy-tail OFF duration must not be negative, got %d ns", h.OffMean)
+	case h.End <= h.Start:
+		return fmt.Errorf("traffic: empty injection window [%d, %d)", h.Start, h.End)
+	}
+	return nil
+}
+
 // InstallHeavyTail schedules the workload on the network. Determinism
 // follows the Install contract exactly: one base draw from rng, then
 // per-node streams derived from the node id alone and events scheduled on
 // each node's own shard engine, so the realized workload is byte-identical
 // across shard counts and GOMAXPROCS settings.
-func InstallHeavyTail(net *network.Network, spec HeavyTail, rng *sim.RNG) *Sources {
-	if spec.FlowRate <= 0 {
-		panic("traffic: heavy-tail spec needs a positive flow rate")
-	}
-	if spec.Sizes == nil {
-		panic("traffic: heavy-tail spec needs a flow-size CDF")
-	}
-	if spec.OnMean <= 0 {
-		panic("traffic: heavy-tail spec needs a positive ON duration")
-	}
-	if spec.End <= spec.Start {
-		panic("traffic: empty injection window")
+func InstallHeavyTail(net *network.Network, spec HeavyTail, rng *sim.RNG) (*Sources, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
 	}
 	mpiType := spec.MPIType
 	if mpiType == 0 {
@@ -307,5 +315,5 @@ func InstallHeavyTail(net *network.Network, spec HeavyTail, rng *sim.RNG) *Sourc
 		first := spec.Start + sim.Time(r.Float64()*ivf)
 		net.EngineForNode(node).Schedule(first, cycle)
 	}
-	return src
+	return src, nil
 }

@@ -123,10 +123,53 @@ func TestMeanMatchesSampling(t *testing.T) {
 	}
 }
 
-func TestNewGroupLocalPanics(t *testing.T) {
-	mustPanic(t, "group too small", func() { NewGroupLocal(16, 1, 0.5) })
-	mustPanic(t, "single group", func() { NewGroupLocal(8, 8, 0.5) })
-	mustPanic(t, "bad pLocal", func() { NewGroupLocal(16, 4, 1.5) })
+func TestNewGroupLocalRejectsBadShape(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		nodes, groups int
+		pLocal        float64
+	}{
+		{"group too small", 16, 1, 0.5},
+		{"single group", 8, 8, 0.5},
+		{"pLocal above 1", 16, 4, 1.5},
+		{"negative pLocal", 16, 4, -0.1},
+		{"NaN pLocal", 16, 4, math.NaN()},
+	} {
+		if _, err := NewGroupLocal(c.nodes, c.groups, c.pLocal); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// Bad heavy-tail specs come back as errors, and nothing is scheduled.
+func TestInstallHeavyTailRejectsBadSpec(t *testing.T) {
+	net := buildNet(t)
+	ok := HeavyTail{Pattern: Uniform{Nodes: 16}, Sizes: CacheCDF(), FlowRate: 1e5,
+		OnMean: 10 * sim.Microsecond, End: 100 * sim.Microsecond}
+	for _, c := range []struct {
+		name string
+		edit func(*HeavyTail)
+	}{
+		{"zero flow rate", func(h *HeavyTail) { h.FlowRate = 0 }},
+		{"negative flow rate", func(h *HeavyTail) { h.FlowRate = -5 }},
+		{"NaN flow rate", func(h *HeavyTail) { h.FlowRate = math.NaN() }},
+		{"no CDF", func(h *HeavyTail) { h.Sizes = nil }},
+		{"zero ON duration", func(h *HeavyTail) { h.OnMean = 0 }},
+		{"negative OFF duration", func(h *HeavyTail) { h.OffMean = -1 }},
+		{"empty window", func(h *HeavyTail) { h.Start = h.End }},
+	} {
+		spec := ok
+		c.edit(&spec)
+		if src, err := InstallHeavyTail(net, spec, sim.NewRNG(1)); err == nil || src != nil {
+			t.Errorf("%s: got sources %v, err %v", c.name, src, err)
+		}
+	}
+	if net.Eng.Len() != 0 {
+		t.Fatalf("rejected specs scheduled %d events", net.Eng.Len())
+	}
+	if _, err := InstallHeavyTail(net, ok, sim.NewRNG(1)); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
+	}
 }
 
 // Locality skew: the realized local fraction tracks PLocal, destinations
@@ -134,7 +177,10 @@ func TestNewGroupLocalPanics(t *testing.T) {
 func TestGroupLocalDestination(t *testing.T) {
 	const nodes, group = 40, 8
 	for _, pLocal := range []float64{0, 0.5, 0.9} {
-		p := NewGroupLocal(nodes, group, pLocal)
+		p, err := NewGroupLocal(nodes, group, pLocal)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rng := sim.NewRNG(7)
 		const draws = 40000
 		local := 0
@@ -171,7 +217,11 @@ func TestGroupLocalDestination(t *testing.T) {
 
 // Pattern interface conformance and naming.
 func TestGroupLocalIsPattern(t *testing.T) {
-	var p Pattern = NewGroupLocal(16, 4, 0.5)
+	g, err := NewGroupLocal(16, 4, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Pattern = g
 	if p.Name() != "grouplocal" {
 		t.Errorf("Name() = %q", p.Name())
 	}

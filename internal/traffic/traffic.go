@@ -176,16 +176,26 @@ func (s *Spec) interval() sim.Time {
 	return sim.Time(float64(s.PacketBytes) * 8 * 1e9 / s.RateBps)
 }
 
+// validate reports the first inconsistency in the spec.
+func (s *Spec) validate() error {
+	switch {
+	case !(s.RateBps > 0): // also rejects NaN
+		return fmt.Errorf("traffic: injection rate must be positive, got %g bps", s.RateBps)
+	case s.PacketBytes <= 0:
+		return fmt.Errorf("traffic: packet size must be positive, got %d B", s.PacketBytes)
+	case s.End <= s.Start:
+		return fmt.Errorf("traffic: empty injection window [%d, %d)", s.Start, s.End)
+	}
+	return nil
+}
+
 // Install schedules the spec's injection events on the network. Each node
 // gets an independent RNG stream derived from rng, plus a phase offset so
 // sources do not inject in lockstep. The returned Sources handle exposes
 // the per-node streams for checkpoint capture.
-func Install(net *network.Network, spec Spec, rng *sim.RNG) *Sources {
-	if spec.RateBps <= 0 || spec.PacketBytes <= 0 {
-		panic("traffic: spec needs positive rate and packet size")
-	}
-	if spec.End <= spec.Start {
-		panic("traffic: empty injection window")
+func Install(net *network.Network, spec Spec, rng *sim.RNG) (*Sources, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
 	}
 	mpiType := spec.MPIType
 	if mpiType == 0 {
@@ -231,7 +241,7 @@ func Install(net *network.Network, spec Spec, rng *sim.RNG) *Sources {
 		// id, never on the shard layout).
 		net.EngineForNode(node).Schedule(first, tick)
 	}
-	return src
+	return src, nil
 }
 
 // Burst describes one communication phase of a bursty application cycle
@@ -250,12 +260,15 @@ type Burst struct {
 // returning the time the last burst ends. A fixed pattern across bursts is
 // plain bursty traffic; varying patterns give "bursty with variable
 // pattern" (Fig 2.6b).
-func InstallBursts(net *network.Network, bursts []Burst, start sim.Time, count int, packetBytes int, rng *sim.RNG) (sim.Time, *Sources) {
+func InstallBursts(net *network.Network, bursts []Burst, start sim.Time, count int, packetBytes int, rng *sim.RNG) (sim.Time, *Sources, error) {
+	if len(bursts) == 0 {
+		return 0, nil, fmt.Errorf("traffic: no bursts to install")
+	}
 	t := start
 	all := &Sources{Label: "bursts"}
 	for rep := 0; rep < count; rep++ {
 		b := bursts[rep%len(bursts)]
-		src := Install(net, Spec{
+		src, err := Install(net, Spec{
 			Pattern:     b.Pattern,
 			RateBps:     b.RateBps,
 			PacketBytes: packetBytes,
@@ -263,8 +276,11 @@ func InstallBursts(net *network.Network, bursts []Burst, start sim.Time, count i
 			End:         t + b.Len,
 			Nodes:       b.Nodes,
 		}, rng.Split(uint64(rep)+0xb0))
+		if err != nil {
+			return 0, nil, fmt.Errorf("burst %d: %w", rep, err)
+		}
 		all.Merge(src)
 		t += b.Len + b.Gap
 	}
-	return t, all
+	return t, all, nil
 }

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -166,13 +167,15 @@ func buildNet(t *testing.T) *network.Network {
 func TestInstallInjectsAtRate(t *testing.T) {
 	net := buildNet(t)
 	// 1024 B at 409.6 Mbps = one packet per 20 us; 200 us window = ~10/node.
-	Install(net, Spec{
+	if _, err := Install(net, Spec{
 		Pattern:     Uniform{Nodes: 16},
 		RateBps:     409.6e6,
 		PacketBytes: 1024,
 		Start:       0,
 		End:         200 * sim.Microsecond,
-	}, sim.NewRNG(1))
+	}, sim.NewRNG(1)); err != nil {
+		t.Fatal(err)
+	}
 	net.Eng.RunAll()
 	got := net.Collector.Throughput.OfferedPkts
 	want := int64(16 * 10)
@@ -186,14 +189,16 @@ func TestInstallInjectsAtRate(t *testing.T) {
 
 func TestInstallRestrictedNodes(t *testing.T) {
 	net := buildNet(t)
-	Install(net, Spec{
+	if _, err := Install(net, Spec{
 		Pattern:     NewHotSpot(map[topology.NodeID]topology.NodeID{0: 15}),
 		RateBps:     1e9,
 		PacketBytes: 1024,
 		Start:       0,
 		End:         50 * sim.Microsecond,
 		Nodes:       []topology.NodeID{0, 1},
-	}, sim.NewRNG(1))
+	}, sim.NewRNG(1)); err != nil {
+		t.Fatal(err)
+	}
 	net.Eng.RunAll()
 	// Node 1 is not in the hot-spot flow table: silent. Only node 0 sends.
 	if net.Collector.Throughput.OfferedPkts == 0 {
@@ -211,12 +216,15 @@ func TestInstallRestrictedNodes(t *testing.T) {
 
 func TestInstallBursts(t *testing.T) {
 	net := buildNet(t)
-	end, _ := InstallBursts(net, []Burst{{
+	end, _, err := InstallBursts(net, []Burst{{
 		Pattern: PerfectShuffle{Nodes: 16},
 		RateBps: 400e6,
 		Len:     100 * sim.Microsecond,
 		Gap:     100 * sim.Microsecond,
 	}}, 0, 3, 1024, sim.NewRNG(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if end != 600*sim.Microsecond {
 		t.Fatalf("burst end = %v", end)
 	}
@@ -230,20 +238,27 @@ func TestInstallBursts(t *testing.T) {
 	}
 }
 
-func TestInstallPanicsOnBadSpec(t *testing.T) {
+func TestInstallRejectsBadSpec(t *testing.T) {
 	net := buildNet(t)
 	for i, spec := range []Spec{
 		{Pattern: Uniform{Nodes: 16}, RateBps: 0, PacketBytes: 1024, End: 1},
+		{Pattern: Uniform{Nodes: 16}, RateBps: -5e6, PacketBytes: 1024, End: 1},
+		{Pattern: Uniform{Nodes: 16}, RateBps: math.NaN(), PacketBytes: 1024, End: 1},
 		{Pattern: Uniform{Nodes: 16}, RateBps: 1e9, PacketBytes: 0, End: 1},
 		{Pattern: Uniform{Nodes: 16}, RateBps: 1e9, PacketBytes: 1024, Start: 5, End: 5},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("bad spec %d accepted", i)
-				}
-			}()
-			Install(net, spec, sim.NewRNG(1))
-		}()
+		if src, err := Install(net, spec, sim.NewRNG(1)); err == nil || src != nil {
+			t.Errorf("bad spec %d: got sources %v, err %v", i, src, err)
+		}
+	}
+	burst := Burst{Pattern: Uniform{Nodes: 16}, RateBps: 0, Len: 10}
+	if _, _, err := InstallBursts(net, []Burst{burst}, 0, 2, 1024, sim.NewRNG(1)); err == nil {
+		t.Error("zero-rate burst accepted")
+	}
+	if _, _, err := InstallBursts(net, nil, 0, 2, 1024, sim.NewRNG(1)); err == nil {
+		t.Error("empty burst list accepted")
+	}
+	if net.Eng.Len() != 0 {
+		t.Fatalf("rejected specs scheduled %d events", net.Eng.Len())
 	}
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
-# verify.sh — the full pre-merge gate: static analysis, build, and the
-# test suite under the race detector (the experiment harness and the
-# fault injector fan simulations out across goroutines).
+# verify.sh — the full pre-merge gate: static analysis, build, the test
+# suite under the race detector (the experiment harness and the fault
+# injector fan simulations out across goroutines), and the perfbench
+# module's own vet and tests.
 #
 # Usage: scripts/verify.sh [extra go-test args]
 set -eu
@@ -15,6 +16,11 @@ go build ./...
 
 echo "==> go test -race ./... $*"
 go test -race "$@" ./...
+
+echo "==> perfbench module (go vet + go test)"
+# perfbench is a module of its own (replace prdrb => ../), so the root
+# module's ./... never reaches it.
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "==> zero-alloc guard (TestHotPathZeroAlloc)"
 go test -run TestHotPathZeroAlloc -count=1 .
