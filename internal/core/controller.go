@@ -181,6 +181,9 @@ func (c *Controller) HandleAck(e *sim.Engine, ack *network.Packet) {
 		c.Stats.PredictiveAcks++
 	}
 	// Fold in contending-flow evidence (§3.2.7).
+	if len(ack.Contending) > 0 && mp.flowSeen == nil {
+		mp.flowSeen = make(map[network.FlowKey]sim.Time)
+	}
 	for _, f := range ack.Contending {
 		mp.flowSeen[f] = e.Now()
 	}

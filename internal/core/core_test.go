@@ -2,6 +2,9 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -159,6 +162,77 @@ func TestSimilarity(t *testing.T) {
 	ys = append(ys, network.FlowKey{Src: 7, Dst: 8})
 	if got := Similarity(NewSignature(xs, 0), NewSignature(ys, 0)); got < 0.8 {
 		t.Fatalf("4/5 overlap = %v, want >= 0.8", got)
+	}
+}
+
+// refNewSignature and refSimilarity are the map-based versions the
+// sort-and-merge implementations replaced.
+func refNewSignature(flows []network.FlowKey, max int) Signature {
+	seen := make(map[network.FlowKey]bool, len(flows))
+	out := make(Signature, 0, len(flows))
+	for _, f := range flows {
+		if !seen[f] {
+			seen[f] = true
+			out = append(out, f)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Src != out[j].Src {
+			return out[i].Src < out[j].Src
+		}
+		return out[i].Dst < out[j].Dst
+	})
+	if max > 0 && len(out) > max {
+		out = out[:max]
+	}
+	return out
+}
+
+func refSimilarity(a, b Signature) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	set := make(map[network.FlowKey]bool, len(a))
+	for _, f := range a {
+		set[f] = true
+	}
+	common := 0
+	for _, f := range b {
+		if set[f] {
+			common++
+		}
+	}
+	return 2 * float64(common) / float64(len(a)+len(b))
+}
+
+// TestSignatureMatchesMapReference compares NewSignature and Similarity
+// with the map-based versions on random flow lists: few distinct flows
+// (heavy duplication), caps below and above the distinct count, empty
+// lists, and pairs drawn from overlapping flow pools.
+func TestSignatureMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	flows := func(pool int) []network.FlowKey {
+		fl := make([]network.FlowKey, rng.Intn(20))
+		for i := range fl {
+			fl[i] = network.FlowKey{Src: topology.NodeID(rng.Intn(pool)), Dst: topology.NodeID(rng.Intn(pool))}
+		}
+		return fl
+	}
+	for trial := 0; trial < 5000; trial++ {
+		pool := 1 + rng.Intn(8)
+		max := rng.Intn(12)
+		fa, fb := flows(pool), flows(pool)
+		a, b := NewSignature(fa, max), NewSignature(fb, max)
+		ra, rb := refNewSignature(fa, max), refNewSignature(fb, max)
+		if !slices.Equal(a, ra) || !slices.Equal(b, rb) {
+			t.Fatalf("trial %d: NewSignature(%v, %d) = %v, want %v", trial, fa, max, a, ra)
+		}
+		if got, want := Similarity(a, b), refSimilarity(ra, rb); got != want {
+			t.Fatalf("trial %d: Similarity(%v, %v) = %v, want %v", trial, a, b, got, want)
+		}
 	}
 }
 

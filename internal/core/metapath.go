@@ -43,11 +43,16 @@ type pathState struct {
 }
 
 // metapath is the per-destination path set of §3.2.3 plus the predictive
-// evidence the PR- layer collects for it.
+// evidence the PR- layer collects for it. A new metapath is one
+// allocation: paths starts on the inline direct array, and flowSeen is
+// created by the first contending-flow report.
 type metapath struct {
 	dst   topology.NodeID
 	paths []pathState // index 0 is always the direct path
 	zone  Zone
+
+	// direct backs paths until the first alternative opens.
+	direct [1]pathState
 
 	nextPathID int
 	// pool holds the topology's alternative-path candidates not yet opened.
@@ -58,7 +63,7 @@ type metapath struct {
 	lastInject sim.Time
 
 	// flowSeen timestamps the contending flows reported for this
-	// destination (the pattern evidence, §3.2.7).
+	// destination (the pattern evidence, §3.2.7); nil until the first.
 	flowSeen map[network.FlowKey]sim.Time
 
 	// outstanding data packets without ACK, for the FR-DRB watchdog.
@@ -74,16 +79,13 @@ type metapath struct {
 }
 
 func newMetapath(dst topology.NodeID, floor sim.Time) *metapath {
-	return &metapath{
-		dst: dst,
-		paths: []pathState{{
-			id:    0,
-			path:  nil,
-			latNs: float64(floor),
-		}},
+	mp := &metapath{
+		dst:        dst,
+		direct:     [1]pathState{{latNs: float64(floor)}},
 		nextPathID: 1,
-		flowSeen:   make(map[network.FlowKey]sim.Time),
 	}
+	mp.paths = mp.direct[:]
+	return mp
 }
 
 // latency returns the metapath latency L(MP) of Eq 3.4 in ns: the inverse

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"prdrb/internal/network"
 	"prdrb/internal/sim"
@@ -14,29 +15,29 @@ type Signature []network.FlowKey
 
 // NewSignature normalizes a flow set into a signature, capped at max flows.
 func NewSignature(flows []network.FlowKey, max int) Signature {
-	seen := make(map[network.FlowKey]bool, len(flows))
-	out := make(Signature, 0, len(flows))
-	for _, f := range flows {
-		if !seen[f] {
-			seen[f] = true
-			out = append(out, f)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
+	out := make(Signature, len(flows))
+	copy(out, flows)
+	slices.SortFunc(out, compareFlows)
+	out = slices.Compact(out)
 	if max > 0 && len(out) > max {
 		out = out[:max]
 	}
 	return out
 }
 
+// compareFlows orders flow keys by source, then destination.
+func compareFlows(a, b network.FlowKey) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Dst, b.Dst)
+}
+
 // Similarity returns the Dice coefficient of two signatures:
 // 2|A∩B| / (|A|+|B|), in [0,1]. The paper requires >= 0.80 for a pattern to
-// count as "already analyzed" (§3.2.8 approximation matching).
+// count as "already analyzed" (§3.2.8 approximation matching). Both
+// arguments must be normalized (NewSignature): the common flows are
+// counted by one merge walk over the two sorted lists.
 func Similarity(a, b Signature) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
@@ -44,14 +45,17 @@ func Similarity(a, b Signature) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	set := make(map[network.FlowKey]bool, len(a))
-	for _, f := range a {
-		set[f] = true
-	}
 	common := 0
-	for _, f := range b {
-		if set[f] {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := compareFlows(a[i], b[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
 			common++
+			i++
+			j++
 		}
 	}
 	return 2 * float64(common) / float64(len(a)+len(b))

@@ -77,8 +77,12 @@ func (op *outPort) encodeState(e *ckpt.Enc) {
 	for vc := range op.vcs {
 		q := &op.vcs[vc]
 		e.Int(q.bytes)
-		e.Int(len(q.q))
-		for _, p := range q.q {
+		n := 0
+		for p := q.head; p != nil; p = p.next {
+			n++
+		}
+		e.Int(n)
+		for p := q.head; p != nil; p = p.next {
 			encodePacket(e, p)
 		}
 	}

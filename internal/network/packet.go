@@ -148,6 +148,9 @@ type Packet struct {
 	// enqueuedAt tracks entry into the current output buffer (not wire
 	// state; reset at every hop).
 	enqueuedAt sim.Time
+	// next links the packet into its output VC's FIFO (vcQueue); nil when
+	// it is last in the FIFO or on none.
+	next *Packet
 
 	// Virtual-channel state (not wire fields): the routing dimension of
 	// the last link taken, whether a dateline (torus wrap link) has been

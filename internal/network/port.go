@@ -32,11 +32,36 @@ type parkedDelivery struct {
 
 // vcQueue is one virtual channel's FIFO within an output port, together
 // with the upstream deliveries parked on the VC waiting for its buffer
-// space, so arbitration and admission touch one record.
+// space, so arbitration and admission touch one record. The FIFO is a
+// singly linked list through Packet.next: enqueue appends at tail, pump
+// pops head, neither allocates nor moves the other entries.
 type vcQueue struct {
-	q      []*Packet
-	bytes  int
-	parked []parkedDelivery
+	head, tail *Packet
+	bytes      int
+	parked     []parkedDelivery
+}
+
+// push appends pkt to the FIFO.
+func (q *vcQueue) push(pkt *Packet) {
+	if q.tail == nil {
+		q.head = pkt
+	} else {
+		q.tail.next = pkt
+	}
+	q.tail = pkt
+	q.bytes += pkt.SizeBytes
+}
+
+// pop removes and returns the FIFO's head; the FIFO must be non-empty.
+func (q *vcQueue) pop() *Packet {
+	pkt := q.head
+	q.head = pkt.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	pkt.next = nil
+	q.bytes -= pkt.SizeBytes
+	return pkt
 }
 
 // The per-port VC state masks are uint8: every VC must have a bit.
@@ -48,7 +73,7 @@ const _ = uint(8 - maxVCs)
 // Arbitration state lives in three VC bitmasks kept in step with the
 // queues (bit vc set iff the condition holds for VC vc):
 //
-//   - queued:  vcs[vc].q is non-empty;
+//   - queued:  vcs[vc].head != nil (the FIFO is non-empty);
 //   - blocked: a packet of the VC sits in the downstream input latch
 //     awaiting buffer admission (or, across a shard boundary, its credit
 //     is in flight). The VC holds no credit — one per link and VC — but the
@@ -156,9 +181,7 @@ func (o *outPort) enqueue(e *sim.Engine, pkt *Packet, vc int) {
 	if o.cong != nil {
 		o.cong.enqueued(e.Now(), pkt.SizeBytes)
 	}
-	q := &o.vcs[vc]
-	q.q = append(q.q, pkt)
-	q.bytes += pkt.SizeBytes
+	o.vcs[vc].push(pkt)
 	o.queued |= 1 << vc
 	o.pump(e)
 }
@@ -194,11 +217,8 @@ func (o *outPort) pump(e *sim.Engine) {
 		return
 	}
 	q := &o.vcs[vc]
-	pkt := q.q[0]
-	copy(q.q, q.q[1:])
-	q.q = q.q[:len(q.q)-1]
-	q.bytes -= pkt.SizeBytes
-	if len(q.q) == 0 {
+	pkt := q.pop()
+	if q.head == nil {
 		o.queued &^= 1 << vc
 	}
 	o.busy = true
@@ -326,7 +346,7 @@ func (o *outPort) topContendingFlows(departing *Packet) []FlowKey {
 		if o.net.isAckVC(vc) {
 			continue
 		}
-		for _, p := range o.vcs[vc].q {
+		for p := o.vcs[vc].head; p != nil; p = p.next {
 			fb = append(fb, flowBytes{p.Flow(), p.SizeBytes})
 			total += p.SizeBytes
 		}

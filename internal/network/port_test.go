@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -137,6 +138,97 @@ func TestAdmitParkedMatchesSliceLoop(t *testing.T) {
 	}
 }
 
+// TestVCFifoMatchesSliceReference drives one port through random
+// offers (enqueued when the VC has space, else parked as Router.accept
+// does) and pumps, and checks after every step that each VC's linked FIFO
+// holds exactly the packets, in the order, of a slice-FIFO reference
+// model — departures in FIFO order, parked deliveries admitted in VC
+// order while their head fits — and that departing packets leave
+// unlinked.
+func TestVCFifoMatchesSliceReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cfg := DefaultConfig()
+	sizes := []int{cfg.AckBytes, cfg.PacketBytes / 2, cfg.PacketBytes}
+	for _, n := range []int{numClasses, maxVCs} {
+		for trial := 0; trial < 200; trial++ {
+			e := sim.NewEngine()
+			sh := &Shard{Eng: e}
+			from := &outPort{sh: sh}
+			o := &outPort{net: &Network{Cfg: cfg}, sh: sh, router: -1, vcCap: 2 * cfg.PacketBytes, vcs: make([]vcQueue, n)}
+			fifo := make([][]*Packet, n)
+			parked := make([][]*Packet, n)
+			used := make([]int, n)
+			vcOf := map[*Packet]int{}
+			rr := 0
+			for step := 0; step < 300; step++ {
+				if rng.Intn(5) < 3 {
+					vc := rng.Intn(n)
+					pkt := &Packet{SizeBytes: sizes[rng.Intn(len(sizes))]}
+					vcOf[pkt] = vc
+					// busy keeps enqueue's own pump from transmitting.
+					o.busy = true
+					if o.free(vc) >= pkt.SizeBytes {
+						o.enqueue(e, pkt, vc)
+						fifo[vc] = append(fifo[vc], pkt)
+						used[vc] += pkt.SizeBytes
+					} else {
+						q := &o.vcs[vc]
+						q.parked = append(q.parked, parkedDelivery{pkt: pkt, from: from})
+						o.waiting |= 1 << vc
+						parked[vc] = append(parked[vc], pkt)
+					}
+				} else {
+					nonEmpty := make([]bool, n)
+					for vc := range fifo {
+						nonEmpty[vc] = len(fifo[vc]) > 0
+					}
+					wantVC, nextRR := refPickVC(nonEmpty, make([]bool, n), rr)
+					o.busy = false
+					o.pump(e)
+					if wantVC < 0 {
+						if o.inflight != nil {
+							t.Fatalf("n=%d trial %d step %d: pumped from empty port", n, trial, step)
+						}
+						continue
+					}
+					rr = nextRR
+					got := o.inflight
+					o.inflight = nil
+					if got != fifo[wantVC][0] || vcOf[got] != wantVC {
+						t.Fatalf("n=%d trial %d step %d: pumped a packet of vc %d, want the head of vc %d",
+							n, trial, step, vcOf[got], wantVC)
+					}
+					if got.next != nil {
+						t.Fatalf("n=%d trial %d step %d: departing packet still linked", n, trial, step)
+					}
+					fifo[wantVC] = fifo[wantVC][1:]
+					used[wantVC] -= got.SizeBytes
+					for vc := 0; vc < n; vc++ {
+						for len(parked[vc]) > 0 && o.vcCap-used[vc] >= parked[vc][0].SizeBytes {
+							fifo[vc] = append(fifo[vc], parked[vc][0])
+							used[vc] += parked[vc][0].SizeBytes
+							parked[vc] = parked[vc][1:]
+						}
+					}
+				}
+				for vc := 0; vc < n; vc++ {
+					var list []*Packet
+					for p := o.vcs[vc].head; p != nil; p = p.next {
+						list = append(list, p)
+					}
+					if !slices.Equal(list, fifo[vc]) || len(o.vcs[vc].parked) != len(parked[vc]) {
+						t.Fatalf("n=%d trial %d step %d vc %d: FIFO of %d packets (%d parked), want %d (%d parked)",
+							n, trial, step, vc, len(list), len(o.vcs[vc].parked), len(fifo[vc]), len(parked[vc]))
+					}
+				}
+				if err := o.checkMasks(); err != nil {
+					t.Fatalf("n=%d trial %d step %d: %v", n, trial, step, err)
+				}
+			}
+		}
+	}
+}
+
 // refContendingFlows is the map-based §3.2.7 ranking topContendingFlows
 // replaced.
 func refContendingFlows(o *outPort, departing *Packet) []FlowKey {
@@ -146,7 +238,7 @@ func refContendingFlows(o *outPort, departing *Packet) []FlowKey {
 		if o.net.isAckVC(vc) {
 			continue
 		}
-		for _, p := range o.vcs[vc].q {
+		for p := o.vcs[vc].head; p != nil; p = p.next {
 			counts[p.Flow()] += p.SizeBytes
 			total += p.SizeBytes
 		}
@@ -191,7 +283,7 @@ func TestTopContendingFlowsMatchesMapRanking(t *testing.T) {
 		o := &n.Routers[5].out[0]
 		for trial := 0; trial < 500; trial++ {
 			for vc := range o.vcs {
-				o.vcs[vc].q = o.vcs[vc].q[:0]
+				o.vcs[vc] = vcQueue{}
 			}
 			nodes := 2 + rng.Intn(14)
 			flow := func() (topology.NodeID, topology.NodeID) {
@@ -201,7 +293,7 @@ func TestTopContendingFlowsMatchesMapRanking(t *testing.T) {
 				src, dst := flow()
 				sizes := []int{64, 512, 1024}
 				vc := rng.Intn(len(o.vcs))
-				o.vcs[vc].q = append(o.vcs[vc].q, &Packet{Src: src, Dst: dst, SizeBytes: sizes[rng.Intn(3)]})
+				o.vcs[vc].push(&Packet{Src: src, Dst: dst, SizeBytes: sizes[rng.Intn(3)]})
 			}
 			src, dst := flow()
 			dep := &Packet{Src: src, Dst: dst, SizeBytes: 1024}
@@ -213,12 +305,28 @@ func TestTopContendingFlowsMatchesMapRanking(t *testing.T) {
 	}
 }
 
-// checkMasks verifies the queued and waiting masks against the queues.
+// checkMasks verifies the queued and waiting masks against the queues,
+// each FIFO's byte count against the sum over its list, and its tail
+// against the list's last packet.
 func (o *outPort) checkMasks() error {
 	for vc := range o.vcs {
 		bit := uint8(1) << vc
-		if (o.queued&bit != 0) != (len(o.vcs[vc].q) > 0) {
-			return fmt.Errorf("vc %d: queued bit %v with %d queued packets", vc, o.queued&bit != 0, len(o.vcs[vc].q))
+		q := &o.vcs[vc]
+		n, bytes := 0, 0
+		var last *Packet
+		for p := q.head; p != nil; p = p.next {
+			n++
+			bytes += p.SizeBytes
+			last = p
+		}
+		if (o.queued&bit != 0) != (n > 0) {
+			return fmt.Errorf("vc %d: queued bit %v with %d queued packets", vc, o.queued&bit != 0, n)
+		}
+		if q.bytes != bytes {
+			return fmt.Errorf("vc %d: bytes=%d, but the %d queued packets hold %d", vc, q.bytes, n, bytes)
+		}
+		if q.tail != last {
+			return fmt.Errorf("vc %d: tail is not the last of the %d queued packets", vc, n)
 		}
 		if (o.waiting&bit != 0) != (len(o.vcs[vc].parked) > 0) {
 			return fmt.Errorf("vc %d: waiting bit %v with %d parked deliveries", vc, o.waiting&bit != 0, len(o.vcs[vc].parked))

@@ -1,8 +1,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Dragonfly is the canonical hierarchical direct network of datacenter
@@ -367,6 +368,10 @@ func (d *Dragonfly) MinimalPorts(r RouterID, dst NodeID, buf []int) []int {
 // multistep paths need here. Candidates are cost-ordered (Eq 3.2) with a
 // source-rotated tie-break so neighbouring sources do not all open the
 // same detour first.
+//
+// Candidates are scored in place in a stack array; only the winners are
+// copied out, into one shared waypoint array, so a call costs two
+// allocations whatever the candidate count (up to dfMaxCands).
 func (d *Dragonfly) AlternativePaths(src, dst NodeID, max int) []Path {
 	sr, _ := d.TerminalAttach(src)
 	dr, _ := d.TerminalAttach(dst)
@@ -374,24 +379,19 @@ func (d *Dragonfly) AlternativePaths(src, dst NodeID, max int) []Path {
 		return nil
 	}
 	gs, gd := d.Group(sr), d.Group(dr)
-	direct := d.Distance(sr, dr)
-	type cand struct {
-		p    Path
-		cost int
-		tie  int
-	}
-	var cands []cand
-	add := func(p Path, tie int) {
-		cost := 0
+	limit := 2*d.Distance(sr, dr) + 2
+	var buf [dfMaxCands]dfCand
+	cands := buf[:0]
+	add := func(c dfCand) {
 		at := sr
-		for _, w := range append(append(Path{}, p...), dr) {
-			cost += d.Distance(at, w)
+		for _, w := range c.w[:c.n] {
+			c.cost += d.Distance(at, w)
 			at = w
 		}
-		if cost > 2*direct+2 {
-			return
+		c.cost += d.Distance(at, dr)
+		if c.cost <= limit {
+			cands = append(cands, c)
 		}
-		cands = append(cands, cand{p: p, cost: cost, tie: tie})
 	}
 	if gs == gd {
 		for i := 0; i < d.A; i++ {
@@ -399,7 +399,7 @@ func (d *Dragonfly) AlternativePaths(src, dst NodeID, max int) []Path {
 			if w == sr || w == dr {
 				continue
 			}
-			add(Path{w}, i)
+			add(dfCand{w: [2]RouterID{w}, n: 1, tie: i})
 		}
 	} else {
 		ls := d.links(gs, gd)
@@ -410,9 +410,9 @@ func (d *Dragonfly) AlternativePaths(src, dst NodeID, max int) []Path {
 				continue
 			}
 			if l.src == sr {
-				add(Path{l.dst}, i)
+				add(dfCand{w: [2]RouterID{l.dst}, n: 1, tie: i})
 			} else {
-				add(Path{l.src, l.dst}, i)
+				add(dfCand{w: [2]RouterID{l.src, l.dst}, n: 2, tie: i})
 			}
 		}
 		for i := 0; i < d.G; i++ {
@@ -422,26 +422,57 @@ func (d *Dragonfly) AlternativePaths(src, dst NodeID, max int) []Path {
 			}
 			vls := d.links(gs, gv)
 			w := vls[int(src)%len(vls)].dst
-			add(Path{w}, len(ls)+i)
+			add(dfCand{w: [2]RouterID{w}, n: 1, tie: len(ls) + i})
 		}
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
+	slices.SortStableFunc(cands, func(a, b dfCand) int {
+		if a.cost != b.cost {
+			return cmp.Compare(a.cost, b.cost)
 		}
-		return cands[i].tie < cands[j].tie
+		return cmp.Compare(a.tie, b.tie)
 	})
-	var out []Path
+	// Compact the distinct winners to the front, in order.
+	k, total := 0, 0
 	for _, c := range cands {
-		if containsPath(out, c.p) {
-			continue
-		}
-		out = append(out, c.p)
-		if len(out) >= max {
+		if k >= max {
 			break
 		}
+		if slices.ContainsFunc(cands[:k], c.sameWaypoints) {
+			continue
+		}
+		cands[k] = c
+		k++
+		total += c.n
+	}
+	if k == 0 {
+		return nil
+	}
+	out := make([]Path, k)
+	ws := make([]RouterID, 0, total)
+	for i, c := range cands[:k] {
+		start := len(ws)
+		ws = append(ws, c.w[:c.n]...)
+		out[i] = ws[start:len(ws):len(ws)]
 	}
 	return out
+}
+
+// dfMaxCands sizes AlternativePaths' candidate stack array: it holds every
+// candidate of dragonflies up to ~60 groups (df-16-32-8-8 has at most 34);
+// larger shapes spill to the heap and stay correct.
+const dfMaxCands = 64
+
+// dfCand is one scored AlternativePaths candidate: waypoints w[:n], the
+// Eq 3.2 cost of the route through them, and the rotation tie-break.
+type dfCand struct {
+	w    [2]RouterID
+	n    int
+	cost int
+	tie  int
+}
+
+func (c dfCand) sameWaypoints(o dfCand) bool {
+	return c.n == o.n && c.w == o.w
 }
 
 var _ Topology = (*Dragonfly)(nil)

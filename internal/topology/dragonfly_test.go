@@ -2,6 +2,8 @@ package topology
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -254,4 +256,144 @@ func ExampleDragonfly_RouterLabel() {
 	d := NewDragonfly(4, 5, 1, 2)
 	fmt.Println(d.RouterLabel(0), d.RouterLabel(19))
 	// Output: G00.R00 G04.R03
+}
+
+// refDragonflyAlternativePaths is the enumeration AlternativePaths had
+// before it scored candidates in place: every candidate built as its own
+// Path, sort.SliceStable on (cost, tie), winners deduplicated in order.
+func refDragonflyAlternativePaths(d *Dragonfly, src, dst NodeID, max int) []Path {
+	sr, _ := d.TerminalAttach(src)
+	dr, _ := d.TerminalAttach(dst)
+	if sr == dr || max <= 0 {
+		return nil
+	}
+	gs, gd := d.Group(sr), d.Group(dr)
+	direct := d.Distance(sr, dr)
+	type cand struct {
+		p    Path
+		cost int
+		tie  int
+	}
+	var cands []cand
+	add := func(p Path, tie int) {
+		cost := 0
+		at := sr
+		for _, w := range append(append(Path{}, p...), dr) {
+			cost += d.Distance(at, w)
+			at = w
+		}
+		if cost > 2*direct+2 {
+			return
+		}
+		cands = append(cands, cand{p: p, cost: cost, tie: tie})
+	}
+	if gs == gd {
+		for i := 0; i < d.A; i++ {
+			w := d.RouterAt(gs, (i+int(src))%d.A)
+			if w == sr || w == dr {
+				continue
+			}
+			add(Path{w}, i)
+		}
+	} else {
+		ls := d.links(gs, gd)
+		chosen, _ := d.routeLink(sr, gs, gd, dr)
+		for i := range ls {
+			l := ls[(i+int(src))%len(ls)]
+			if l == chosen {
+				continue
+			}
+			if l.src == sr {
+				add(Path{l.dst}, i)
+			} else {
+				add(Path{l.src, l.dst}, i)
+			}
+		}
+		for i := 0; i < d.G; i++ {
+			gv := (gd + 1 + i + int(src)) % d.G
+			if gv == gs || gv == gd {
+				continue
+			}
+			vls := d.links(gs, gv)
+			w := vls[int(src)%len(vls)].dst
+			add(Path{w}, len(ls)+i)
+		}
+	}
+	sort.SliceStable(cands, func(i, j int) bool {
+		if cands[i].cost != cands[j].cost {
+			return cands[i].cost < cands[j].cost
+		}
+		return cands[i].tie < cands[j].tie
+	})
+	var out []Path
+	for _, c := range cands {
+		if containsPath(out, c.p) {
+			continue
+		}
+		out = append(out, c.p)
+		if len(out) >= max {
+			break
+		}
+	}
+	return out
+}
+
+func checkAltPathsMatch(t *testing.T, d *Dragonfly, src, dst NodeID, max int) {
+	t.Helper()
+	got := d.AlternativePaths(src, dst, max)
+	want := refDragonflyAlternativePaths(d, src, dst, max)
+	if (got == nil) != (want == nil) || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s %d->%d max=%d: got %v, want %v", d.Name(), src, dst, max, got, want)
+	}
+	for i, p := range got {
+		if cap(p) != len(p) {
+			t.Fatalf("%s %d->%d: path %d has spare capacity %d > %d: appends would overwrite its neighbour",
+				d.Name(), src, dst, i, cap(p), len(p))
+		}
+	}
+}
+
+// TestDragonflyAlternativePathsMatchReference pins the in-place candidate
+// scoring to the enumeration it replaced: every pair of a small dragonfly
+// (group-local and inter-group, remainder links, several budgets), a
+// seeded sample of df-16-32-8-8 pairs at the controller budgets, and a
+// 70-group shape whose Valiant candidates overflow the stack array.
+func TestDragonflyAlternativePathsMatchReference(t *testing.T) {
+	small := NewDragonfly(4, 9, 3, 2)
+	for s := 0; s < small.NumTerminals(); s++ {
+		for dst := 0; dst < small.NumTerminals(); dst++ {
+			for _, max := range []int{0, 1, 3, 8, 64} {
+				checkAltPathsMatch(t, small, NodeID(s), NodeID(dst), max)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	for _, d := range []*Dragonfly{NewDragonfly(16, 32, 8, 8), NewDragonfly(10, 70, 7, 1)} {
+		n := d.NumTerminals()
+		for i := 0; i < 3000; i++ {
+			src, dst := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			if i%4 == 0 {
+				// Bias a quarter of the sample toward group-local pairs.
+				dst = NodeID(int(src)/(d.A*d.P)*(d.A*d.P) + rng.Intn(d.A*d.P))
+			}
+			for _, max := range []int{4, 8, 16} {
+				checkAltPathsMatch(t, d, src, dst, max)
+			}
+		}
+	}
+}
+
+// TestDragonflyAlternativePathsAllocs bounds an enumeration at two
+// allocations — the path headers and their shared waypoint array — for
+// inter-group and group-local pairs of the 4096-node shape.
+func TestDragonflyAlternativePathsAllocs(t *testing.T) {
+	d := NewDragonfly(16, 32, 8, 8)
+	for _, pair := range [][2]NodeID{{0, 4095}, {0, 100}, {1234, 77}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			d.AlternativePaths(pair[0], pair[1], 16)
+		})
+		if allocs > 2 {
+			t.Errorf("AlternativePaths(%d, %d, 16): %.1f allocs per call, want <= 2", pair[0], pair[1], allocs)
+		}
+	}
 }

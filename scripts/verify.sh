@@ -22,8 +22,12 @@ echo "==> perfbench module (go vet + go test)"
 # module's ./... never reaches it.
 (cd perfbench && go vet ./... && go test ./...)
 
-echo "==> zero-alloc guard (TestHotPathZeroAlloc)"
+echo "==> zero-alloc guard (TestHotPathZeroAlloc + allocation budgets)"
 go test -run TestHotPathZeroAlloc -count=1 .
+# The PR-DRB run phase's per-call budgets: path enumeration (<= 2) and
+# metapaths (1 per new destination, 0 per steady-state inject + ACK).
+go test -run 'TestDragonflyAlternativePathsAllocs|TestMetapathAllocs' -count=1 \
+    ./internal/topology ./internal/core
 
 echo "==> bench smoke (BenchmarkHotPath, 1 iteration)"
 go test -run '^$' -bench BenchmarkHotPath -benchtime 1x .
