@@ -36,7 +36,7 @@ const Magic = "PRDRBCP1"
 // Version is the current format version. Readers reject other versions:
 // the format carries simulator-internal state whose meaning is pinned to
 // the code that wrote it (see DESIGN.md for the compatibility policy).
-const Version uint32 = 1
+const Version uint32 = 2
 
 // Section identifiers. New sections append; ids are never reused.
 const (

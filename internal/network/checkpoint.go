@@ -62,8 +62,12 @@ func encodePacket(e *ckpt.Enc, p *Packet) {
 
 // encodeState appends one output port: link status, arbitration state,
 // occupancy accounting, and every queued, parked and in-flight packet.
+// The link status is the effective one — a release reserved in a slot
+// that has passed reads free — followed by the reservation itself.
 func (op *outPort) encodeState(e *ckpt.Enc) {
-	e.Bool(op.busy)
+	e.Bool(op.linkHeld())
+	e.Bool(op.rsv)
+	e.U64(op.rsvSeq)
 	e.Bool(op.down)
 	e.F64(op.rate)
 	e.I64(int64(op.serEnd))

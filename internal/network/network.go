@@ -157,7 +157,7 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 			net:    n,
 			sh:     sh,
 			router: router,
-			port:   port,
+			port:   int32(port),
 			vcCap:  capBytes,
 			vcs:    vcs,
 		}
@@ -181,7 +181,8 @@ func build(topo topology.Topology, cfg Config, policy RouterPolicy, shards []*Sh
 		for p := range rt.out {
 			op := &rt.out[p]
 			initPort(op, vcSlab(vcs, p), sh, rt.ID, p, cfg.BufferBytes/n.numVC)
-			op.linkDim, op.linkWrap = topo.LinkDim(rt.ID, p)
+			dim, wrap := topo.LinkDim(rt.ID, p)
+			op.linkDim, op.linkWrap = int32(dim), wrap
 		}
 		n.Routers[r] = rt
 	}
@@ -264,8 +265,8 @@ func (n *Network) prepareVC(op *outPort, pkt *Packet) int {
 		pkt.dateline = false
 		pkt.curDim = -99
 	}
-	if op.linkDim != pkt.curDim {
-		pkt.curDim = op.linkDim
+	if int(op.linkDim) != pkt.curDim {
+		pkt.curDim = int(op.linkDim)
 		pkt.dateline = false
 	}
 	return n.vcIndex(c, pkt.dateline)
@@ -313,11 +314,11 @@ func (n *Network) SetSourceController(build func(node topology.NodeID) SourceCon
 func (n *Network) injectPredictiveAcks(e *sim.Engine, from *outPort, flows []FlowKey, wait sim.Time) {
 	r := n.Routers[from.router]
 	sh := from.sh
-	sh.Tracer.RouterEvent(e.Now(), telemetry.KindPredAck, int(from.router), from.port, int64(len(flows)))
+	sh.Tracer.RouterEvent(e.Now(), telemetry.KindPredAck, int(from.router), int(from.port), int64(len(flows)))
 	if sh.Rec != nil {
 		sh.Rec.Record(telemetry.FlightEvent{
 			AtNs: int64(e.Now()), Kind: telemetry.FlightPredAck,
-			Router: int(from.router), Port: from.port, VC: -1,
+			Router: int(from.router), Port: int(from.port), VC: -1,
 			Val: int64(len(flows)),
 		})
 	}

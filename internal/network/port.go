@@ -82,6 +82,13 @@ const _ = uint(8 - maxVCs)
 //     freedom;
 //   - waiting: vcs[vc].parked is non-empty.
 //
+// Link release is lazy. A transmission holds the link (busy) until
+// serEnd, but the port queues its portEvFree event only when a VC is ready
+// to use the link then. Otherwise it takes an engine reservation for the
+// slot the event would have had (rsv, rsvSeq; the time is serEnd) and
+// queues nothing: most releases find no packet waiting. pump resolves the
+// reservation when work arrives — see pump and load.
+//
 // Router ports are allocated as one slab per router and NIC ports as one
 // network-wide slab, each with their vcQueues in a parallel slab (build).
 type outPort struct {
@@ -97,10 +104,14 @@ type outPort struct {
 	// linkWrap and linkDim classify the attached link for dateline VC
 	// assignment (topology.LinkDim of the wired port).
 	linkWrap bool
-	vcs      []vcQueue
-	peer     receiver
-	vcCap    int // capacity per VC in bytes
-	linkDim  int
+	// rsv marks a busy link whose release holds the engine reservation
+	// (serEnd, rsvSeq) instead of a queued portEvFree.
+	rsv     bool
+	vcs     []vcQueue
+	peer    receiver
+	vcCap   int // capacity per VC in bytes
+	linkDim int32
+	port    int32 // index on the owning router (0 for a NIC port)
 
 	net    *Network
 	sh     *Shard            // owning shard (the serial network's only one)
@@ -121,9 +132,10 @@ type outPort struct {
 	// rate scales the link bandwidth when the link is degraded; 0 or 1
 	// means nominal rate.
 	rate float64
-	// serEnd is when the in-flight packet's tail leaves the link; the port
-	// cannot start the next packet before it even if the downstream
-	// accepted the (cut-through) header earlier.
+	// serEnd is when the link frees for the next packet: when the in-flight
+	// packet's tail leaves it (on a boundary link, no earlier than the
+	// header's arrival). The port cannot start the next packet before it
+	// even if the downstream accepted the (cut-through) header earlier.
 	serEnd sim.Time
 	// busyNs and txBytes account link occupancy for the energy/provision
 	// analyses (§5.2 open lines).
@@ -136,8 +148,8 @@ type outPort struct {
 	// obs is the pre-resolved contention-metrics handle for this router's
 	// stats (invalid for NIC ports or when no collector is attached), so the
 	// hot path never indexes through the collector.
-	obs  metrics.RouterObserver
-	port int
+	obs    metrics.RouterObserver
+	rsvSeq uint64
 	// lastRouterAck rate-limits router-based predictive notifications.
 	lastRouterAck sim.Time
 }
@@ -208,9 +220,29 @@ func (o *outPort) pickVC() int {
 
 // pump starts transmitting the next queued packet if the link is idle. A
 // down link is never pumped: its queue survives, frozen, until repair.
+//
+// A busy link whose release holds a reservation is resolved here: once
+// the reserved slot has passed the link is free, so transmit now, exactly
+// as if the release event had fired and idled the port; before then, a
+// ready VC turns the reservation into the real release event in that very
+// slot; otherwise nothing changes.
 func (o *outPort) pump(e *sim.Engine) {
-	if o.busy || o.down {
+	if o.down {
 		return
+	}
+	if o.busy {
+		if !o.rsv {
+			return
+		}
+		r := o.reservation()
+		if !e.Passed(r) {
+			if o.queued&^o.blocked != 0 {
+				o.rsv = false
+				e.ScheduleReserved(r, o, portEvFree, uint64(o.serEnd))
+			}
+			return
+		}
+		o.busy, o.rsv = false, false
 	}
 	vc := o.pickVC()
 	if vc < 0 {
@@ -237,7 +269,7 @@ func (o *outPort) pump(e *sim.Engine) {
 			o.obs.Observe(wait, e.Now())
 		}
 		if o.sh.Tracer.Sampled(pkt.ID) {
-			o.sh.Tracer.PacketHop(e.Now(), pkt.ID, int(o.router), o.port, wait)
+			o.sh.Tracer.PacketHop(e.Now(), pkt.ID, int(o.router), int(o.port), wait)
 		}
 		o.monitorDeparture(e, pkt, wait)
 	}
@@ -297,11 +329,10 @@ func (o *outPort) sendRemote(e *sim.Engine, pkt *Packet, vc int, cut sim.Time) {
 		Ptr:    pkt,
 		Aux:    o,
 	})
-	free := o.serEnd
-	if arrive > free {
-		free = arrive
+	if arrive > o.serEnd {
+		o.serEnd = arrive
 	}
-	e.ScheduleEvent(free, o, portEvFree, uint64(o.serEnd))
+	o.releaseAt(e)
 }
 
 // monitorDeparture drives CFD (§3.3.2). It is gated on GenerateAcks: the
@@ -438,7 +469,7 @@ func (o *outPort) deliver(e *sim.Engine, pkt *Packet, vc int) {
 		if o.sh.Rec != nil {
 			o.sh.Rec.Record(telemetry.FlightEvent{
 				AtNs: int64(e.Now()), Kind: telemetry.FlightStall,
-				Router: int(o.router), Port: o.port, VC: vc,
+				Router: int(o.router), Port: int(o.port), VC: vc,
 				Pkt: pkt.ID, Src: int(pkt.Src), Dst: int(pkt.Dst),
 			})
 		}
@@ -462,13 +493,24 @@ func (o *outPort) creditReturned(e *sim.Engine, vc int) {
 // freeLink releases the physical link once the packet's tail has left it.
 func (o *outPort) freeLink(e *sim.Engine) {
 	if e.Now() < o.serEnd {
-		// The serEnd guard travels in the event payload: a later
-		// transmission moves serEnd and thereby invalidates this event.
-		e.ScheduleEvent(o.serEnd, o, portEvFree, uint64(o.serEnd))
+		o.releaseAt(e)
 		return
 	}
 	o.busy = false
 	o.pump(e)
+}
+
+// releaseAt arranges the link's release at serEnd: the portEvFree event
+// when a VC is ready to transmit then, else a reservation of its slot.
+// The serEnd guard travels in the event payload: a later transmission
+// moves serEnd and thereby invalidates the event.
+func (o *outPort) releaseAt(e *sim.Engine) {
+	if o.queued&^o.blocked != 0 {
+		e.ScheduleEvent(o.serEnd, o, portEvFree, uint64(o.serEnd))
+		return
+	}
+	o.rsv = true
+	o.rsvSeq = e.Reserve(o.serEnd).Seq
 }
 
 // admitParked moves waiting upstream deliveries into freed buffer space,
@@ -498,14 +540,26 @@ func (o *outPort) admitParked(e *sim.Engine) {
 }
 
 // load returns the total queued bytes (a congestion signal for adaptive
-// routing policies), including a nominal in-flight packet when busy.
+// routing policies), including a nominal in-flight packet while the link
+// is held: until its release, reserved or queued, has passed.
 func (o *outPort) load() int {
 	total := 0
 	for vc := range o.vcs {
 		total += o.vcs[vc].bytes
 	}
-	if o.busy {
+	if o.linkHeld() {
 		total += o.net.Cfg.PacketBytes
 	}
 	return total
+}
+
+// linkHeld reports whether the link is occupied at the engine's current
+// position: busy, and not released through a reservation that has passed.
+func (o *outPort) linkHeld() bool {
+	return o.busy && !(o.rsv && o.sh.Eng.Passed(o.reservation()))
+}
+
+// reservation is the engine slot the link release holds while rsv is set.
+func (o *outPort) reservation() sim.Reservation {
+	return sim.Reservation{At: o.serEnd, Seq: o.rsvSeq}
 }

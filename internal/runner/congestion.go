@@ -117,7 +117,7 @@ func (c *congSampler) HandleEvent(e *sim.Engine, _ uint8, _ uint64) {
 	cs := (*congState)(c)
 	cs.closeWindow(e.Now())
 	cs.publish(e.Now())
-	if e.Len() > 0 {
+	if e.HasWork() {
 		e.AfterEvent(cs.window, c, 0, 0)
 	}
 }

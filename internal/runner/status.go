@@ -113,7 +113,7 @@ func (ss *serialSampler) HandleEvent(e *sim.Engine, _ uint8, _ uint64) {
 	st.board.PublishStatus(status)
 	st.sim.publishMetrics(st.board)
 	st.sim.syncLive(int64(e.Processed), int64(now))
-	if e.Len() > 0 {
+	if e.HasWork() {
 		e.AfterEvent(st.interval, ss, 0, 0)
 	}
 }
@@ -139,7 +139,7 @@ func (ss *shardSampler) HandleEvent(e *sim.Engine, _ uint8, _ uint64) {
 		Processed:     e.Processed,
 		Pending:       e.Len(),
 	}
-	if e.Len() > 0 {
+	if e.HasWork() {
 		e.AfterEvent(ss.st.interval, ss, 0, 0)
 	} else {
 		ss.armed = false
@@ -155,7 +155,7 @@ func (st *statusState) onBarrier(winEnd sim.Time) {
 	// Re-arm samplers that ran out of local work mid-window but whose
 	// shard has pending events again.
 	for i, sam := range st.samplers {
-		if !sam.armed && g.Engines[i].Len() > 0 {
+		if !sam.armed && g.Engines[i].HasWork() {
 			g.Engines[i].ScheduleEvent(winEnd+st.interval, sam, 0, 0)
 			sam.armed = true
 		}

@@ -13,8 +13,9 @@ import (
 // behavior — the virtual clock, the tie-breaking sequence counter, and
 // every pending event in (time, seq) order — plus the bookkeeping
 // counters (Processed, peak queue depth, freelist length) that appear in
-// run summaries. Free-list *contents* are recycled records whose identity
-// never affects execution, so only the length is captured.
+// run summaries, and the latest reservation (see Reserve). Free-list
+// *contents* are recycled records whose identity never affects
+// execution, so only the length is captured.
 //
 // Pending closure events cannot serialize their captured environment;
 // they are recorded as time/seq/actor-tag records. That is sufficient
@@ -83,6 +84,8 @@ func (e *Engine) EncodeState(enc *ckpt.Enc) {
 	enc.U64(e.Processed)
 	enc.Int(e.peakQueue)
 	enc.Int(len(e.free))
+	enc.I64(int64(e.resLast.At))
+	enc.U64(e.resLast.Seq)
 	enc.Bool(e.wheel != nil)
 	if e.wheel != nil {
 		enc.I64(int64(e.wheel.base))

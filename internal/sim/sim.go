@@ -20,6 +20,16 @@
 // Determinism: events at equal timestamps fire in scheduling order (a
 // monotonically increasing sequence number breaks ties), so a simulation is
 // a pure function of its configuration and RNG seed.
+//
+// Reservations: Reserve takes the (time, seq) slot an event scheduled now
+// would occupy without queueing anything; ScheduleReserved later fills
+// exactly that slot, and Passed reports whether execution has moved beyond
+// it. A component whose follow-up event would usually find nothing to do
+// (a port's link release with no packet waiting) reserves instead, and
+// queues the event only if work arrives before the slot passes. The
+// engine keeps just enough of its reservations — the latest one, and the
+// latest below the running horizon — that Run's final clock and HasWork
+// read as if every reserved slot had fired an event.
 package sim
 
 import "fmt"
@@ -88,12 +98,24 @@ type EventID struct {
 // fired) event.
 func (id EventID) Valid() bool { return id.ev != nil }
 
+// Reservation is a slot in the (time, seq) event order taken by Reserve.
+// Seq is unique: no event or other reservation shares it.
+type Reservation struct {
+	At  Time
+	Seq uint64
+}
+
 // Engine is a discrete-event simulation kernel.
 //
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
+	now Time
+	seq uint64
+	// curSeq is the seq of the event executing now; together with now it is
+	// the position Passed compares against. Between Run calls it is the
+	// next free seq, so every slot below the finished horizon reads passed
+	// and every slot taken afterwards does not.
+	curSeq  uint64
 	queue   []*event
 	stopped bool
 	// pending counts scheduled, not-yet-fired, not-cancelled events; the
@@ -112,10 +134,25 @@ type Engine struct {
 	// mode used by shard engines (see wheel.go). The heap then only holds
 	// far-future overflow events.
 	wheel *wheel
+
+	// resLast is the latest reservation taken (At -1 before the first), so
+	// HasWork sees an unpassed slot as remaining work.
+	resLast Reservation
+	// runH is the horizon of the heap-mode Run in progress, Infinity
+	// outside Run and always in wheel mode. resBelow is the latest
+	// reserved time below it: where the run's clock parks once the queue
+	// drains or reaches the horizon, as the event in that slot would have
+	// left it. resCarry holds reserved times at or past runH for the Runs
+	// that follow.
+	runH     Time
+	resBelow Time
+	resCarry []Time
 }
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine {
+	return &Engine{runH: Infinity, resBelow: -1, resLast: Reservation{At: -1}}
+}
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -131,7 +168,63 @@ func (e *Engine) FreeListLen() int { return len(e.free) }
 
 // Len returns the number of pending events. Cancelled events are excluded:
 // they still occupy the internal queue until popped, but will never fire.
+// Reservations are not events and are not counted; see HasWork.
 func (e *Engine) Len() int { return e.pending }
+
+// HasWork reports whether anything is left to execute: a pending event,
+// or a reservation that has not passed. Samplers that re-arm "while work
+// remains" use it, so a reserved slot keeps them ticking exactly as the
+// event it stands for would have.
+func (e *Engine) HasWork() bool { return e.pending > 0 || !e.Passed(e.resLast) }
+
+// Reserve takes the (at, seq) slot that ScheduleEvent(at, ...) would give
+// an event now, without queueing anything. The slot is filled later by
+// ScheduleReserved, or left empty.
+func (e *Engine) Reserve(at Time) Reservation {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: reserve at %v before now %v", at, e.now))
+	}
+	r := Reservation{At: at, Seq: e.seq}
+	e.seq++
+	if at >= e.resLast.At {
+		e.resLast = r // the newest seq wins time ties
+	}
+	if e.wheel != nil {
+		e.wheel.reserve(at)
+	}
+	if at < e.runH {
+		if at > e.resBelow {
+			e.resBelow = at
+		}
+	} else {
+		e.resCarry = append(e.resCarry, at)
+	}
+	return r
+}
+
+// Passed reports whether execution has moved beyond r: the event running
+// now is ordered after it, or, between Run calls, r lies below the
+// horizon the last Run reached. An event in r's slot would have fired.
+func (e *Engine) Passed(r Reservation) bool {
+	return r.At < e.now || (r.At == e.now && r.Seq < e.curSeq)
+}
+
+// ScheduleReserved delivers (kind, arg) to a in the slot r, which must not
+// have passed: the event fires exactly where ScheduleEvent would have put
+// it when r was reserved.
+func (e *Engine) ScheduleReserved(r Reservation, a Actor, kind uint8, arg uint64) EventID {
+	if e.Passed(r) {
+		panic(fmt.Sprintf("sim: schedule into reservation %v/%d already passed", r.At, r.Seq))
+	}
+	if a == nil {
+		panic("sim: nil actor")
+	}
+	ev := e.place(r.At, r.Seq)
+	ev.actor = a
+	ev.kind = kind
+	ev.arg = arg
+	return EventID{ev: ev, gen: ev.gen}
+}
 
 // eventLess orders the heap by (time, sequence): earliest first, and FIFO
 // among events at the same timestamp.
@@ -205,20 +298,26 @@ func (e *Engine) siftDown(ev *event, i int) {
 	ev.index = int32(i)
 }
 
-// alloc takes an event record from the free list (or the heap allocator),
-// stamps it with the scheduling metadata, and enqueues it.
+// alloc takes the next sequence number and enqueues a record at (at, seq).
 func (e *Engine) alloc(at Time) *event {
+	ev := e.place(at, e.seq)
+	e.seq++
+	return ev
+}
+
+// place takes an event record from the free list (or the heap allocator),
+// stamps it with the scheduling metadata, and enqueues it.
+func (e *Engine) place(at Time, seq uint64) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 		gen := ev.gen + 1
-		*ev = event{at: at, seq: e.seq, gen: gen}
+		*ev = event{at: at, seq: seq, gen: gen}
 	} else {
-		ev = &event{at: at, seq: e.seq}
+		ev = &event{at: at, seq: seq}
 	}
-	e.seq++
 	e.pending++
 	if e.wheel != nil {
 		e.wheelPush(ev)
@@ -306,7 +405,7 @@ func (e *Engine) Step() bool {
 			e.recycle(ev)
 			continue
 		}
-		e.now = ev.at
+		e.now, e.curSeq = ev.at, ev.seq
 		e.Processed++
 		e.pending--
 		if a := ev.actor; a != nil {
@@ -347,13 +446,15 @@ func (e *Engine) recycle(ev *event) {
 
 // Run executes events until the queue drains, Stop is called, or the clock
 // passes horizon (exclusive). Events scheduled at exactly horizon do not run.
-// It returns the number of events executed.
+// It returns the number of events executed. Unless stopped, the clock then
+// rests at the latest executed event or reserved slot below the horizon.
 func (e *Engine) Run(horizon Time) uint64 {
 	if e.wheel != nil {
 		return e.runWheel(horizon)
 	}
 	start := e.Processed
 	e.stopped = false
+	e.openRun(horizon)
 	for !e.stopped && len(e.queue) > 0 {
 		// Peek: stop before executing events at/after the horizon.
 		next := e.queue[0]
@@ -369,7 +470,44 @@ func (e *Engine) Run(horizon Time) uint64 {
 		}
 		e.Step()
 	}
+	e.runH = Infinity
+	if !e.stopped {
+		e.parkClock()
+	}
 	return e.Processed - start
+}
+
+// openRun sets the heap-mode horizon and moves the carried reservations
+// below it into resBelow (a reservation taken outside Run, where runH is
+// Infinity, joins the carry if it lies past this horizon).
+func (e *Engine) openRun(horizon Time) {
+	e.runH = horizon
+	if e.resBelow >= horizon {
+		e.resCarry = append(e.resCarry, e.resBelow)
+		e.resBelow = -1
+	}
+	keep := e.resCarry[:0]
+	for _, at := range e.resCarry {
+		if at < horizon {
+			if at > e.resBelow {
+				e.resBelow = at
+			}
+		} else {
+			keep = append(keep, at)
+		}
+	}
+	e.resCarry = keep
+}
+
+// parkClock ends a Run that drained or reached its horizon: the clock
+// moves up to the latest reserved slot below the horizon, where the event
+// in it would have left the clock, and every slot taken so far below the
+// horizon now reads passed.
+func (e *Engine) parkClock() {
+	if e.resBelow > e.now {
+		e.now = e.resBelow
+	}
+	e.curSeq = e.seq
 }
 
 // RunAll executes events until the queue drains or Stop is called.

@@ -68,7 +68,22 @@ type wheel struct {
 	// the event schedule, not of wall time or GOMAXPROCS.
 	farOverflows  uint64
 	farMigrations uint64
+	// Reserved times (Engine.Reserve), kept so NextEventTime opens the
+	// window an event in the reserved slot would have needed. resNs[s]
+	// has bit i set for a time reserved at ns i of ring slot s — exact
+	// times, because a window end can fall inside a slot and only the
+	// times at or after it count. resSlot[s] is the absolute slot number
+	// (time >> wheelSlotShift) the bits belong to: a ring slot reused on
+	// a later revolution starts afresh. resOcc has a bit per ring slot
+	// with any resNs bit set; resFar holds times beyond the ring span.
+	resOcc  [wheelSlots / 64]uint64
+	resNs   [wheelSlots]uint16
+	resSlot [wheelSlots]Time
+	resFar  []Time
 }
+
+// resNs needs one bit per nanosecond of a slot.
+const _ = uint(1<<wheelSlotShift-16) + uint(16-1<<wheelSlotShift)
 
 // EnableWheel switches the engine's scheduler into windowed-wheel mode.
 // It must be called before any event is scheduled.
@@ -159,10 +174,17 @@ func (e *Engine) migrateFar() {
 
 // NextEventTime returns the timestamp of the earliest pending event, or
 // Infinity if nothing is pending. The shard group uses it at barriers to
-// fast-forward across globally idle spans.
+// fast-forward across globally idle spans. In wheel mode a reserved slot
+// that has not passed counts as an event, so the group opens every window
+// the event standing behind the reservation would have opened; heap-mode
+// engines never run in a group and report events only.
 func (e *Engine) NextEventTime() Time {
 	if e.wheel != nil {
-		return e.wheelNext()
+		next := e.wheelNext()
+		if r := e.wheel.nextReserved(); r < next {
+			next = r
+		}
+		return next
 	}
 	for len(e.queue) > 0 {
 		if top := e.queue[0]; top.cancelled {
@@ -212,6 +234,64 @@ func (e *Engine) wheelNext() Time {
 	return Infinity
 }
 
+// reserve records a reserved time at or after base.
+func (w *wheel) reserve(at Time) {
+	abs := at >> wheelSlotShift
+	if abs-(w.base>>wheelSlotShift) >= wheelSlots {
+		w.resFar = append(w.resFar, at)
+		return
+	}
+	s := slotFor(at)
+	if w.resSlot[s] != abs || w.resOcc[s>>6]&(1<<uint(s&63)) == 0 {
+		w.resSlot[s], w.resNs[s] = abs, 0
+	}
+	w.resNs[s] |= 1 << uint(at&(1<<wheelSlotShift-1))
+	w.resOcc[s>>6] |= 1 << uint(s&63)
+}
+
+// nextReserved returns the earliest reserved time at or after base, or
+// Infinity. Between windows base is the horizon just reached, so exactly
+// the reservations that have not passed qualify.
+func (w *wheel) nextReserved() Time {
+	next := Infinity
+	baseSlot := w.base >> wheelSlotShift
+	for ds := Time(0); ds < wheelSlots; {
+		s := int(baseSlot+ds) & (wheelSlots - 1)
+		b := w.resOcc[s>>6] >> uint(s&63)
+		if b == 0 {
+			ds += Time(64 - s&63)
+			continue
+		}
+		ds += Time(bits.TrailingZeros64(b))
+		if ds >= wheelSlots {
+			break
+		}
+		abs := baseSlot + ds
+		s = int(abs) & (wheelSlots - 1)
+		ns := w.resNs[s]
+		if w.resSlot[s] != abs {
+			ns = 0 // an earlier revolution's
+		} else if ds == 0 {
+			ns &^= 1<<uint(w.base&(1<<wheelSlotShift-1)) - 1 // below base
+		}
+		if ns != 0 {
+			next = abs<<wheelSlotShift + Time(bits.TrailingZeros16(ns))
+			break
+		}
+		w.resOcc[s>>6] &^= 1 << uint(s&63) // every time in it passed
+		ds++
+	}
+	keep := w.resFar[:0]
+	for _, at := range w.resFar {
+		if at >= w.base {
+			keep = append(keep, at)
+			next = min(next, at)
+		}
+	}
+	w.resFar = keep
+	return next
+}
+
 // slotFirst returns the time of slot s's earliest live event (the first
 // non-cancelled entry — slots are sorted), clearing the slot and its bit
 // when everything in it was cancelled.
@@ -239,7 +319,7 @@ func (e *Engine) AdvanceTo(at Time) {
 	if at <= e.now {
 		return
 	}
-	e.now = at
+	e.now, e.curSeq = at, 0
 	if w := e.wheel; w != nil && at > w.base {
 		w.base = at
 		e.migrateFar()
@@ -248,18 +328,18 @@ func (e *Engine) AdvanceTo(at Time) {
 
 // runWheel executes events with time < horizon in (time, seq) order,
 // returning when the horizon is reached, the engine stops, or nothing is
-// pending below the horizon.
+// pending below the horizon. A finite horizon leaves cursor and clock at
+// the horizon itself (the window end), so every slot reserved below it
+// reads passed.
 func (e *Engine) runWheel(horizon Time) uint64 {
 	start := e.Processed
 	w := e.wheel
 	e.stopped = false
+	defer e.closeWindow(horizon)
 	for {
 		if e.pending == 0 {
 			if horizon != Infinity && w.base < horizon {
 				w.base = horizon
-				if e.now < horizon {
-					e.now = horizon
-				}
 			}
 			break
 		}
@@ -294,7 +374,7 @@ func (e *Engine) runWheel(horizon Time) uint64 {
 			}
 			i++
 			w.curIdx = i
-			e.now = ev.at
+			e.now, e.curSeq = ev.at, ev.seq
 			e.Processed++
 			e.pending--
 			ev.index = idxPopped
@@ -345,6 +425,22 @@ func (e *Engine) runWheel(horizon Time) uint64 {
 		}
 	}
 	return e.Processed - start
+}
+
+// closeWindow parks the clock when runWheel returns without a Stop: at
+// the horizon, or after a full drain at the latest reserved slot.
+func (e *Engine) closeWindow(horizon Time) {
+	if e.stopped {
+		return
+	}
+	if horizon == Infinity {
+		e.parkClock()
+		return
+	}
+	if e.now < horizon {
+		e.now = horizon
+	}
+	e.curSeq = 0
 }
 
 // hopEmpty advances base across a run of empty slots, bounded by horizon

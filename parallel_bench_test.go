@@ -31,7 +31,9 @@ func benchShardedOnce(b *testing.B, shards int, seed uint64, p *perf.Profiler) (
 // BenchmarkHotPath scenario across shard counts. scripts/bench.sh turns its
 // output into BENCH_parallel.json (the 1/2/4/8-shard scaling curve);
 // shards=1 is the serial reference engine, so the ratio of any sharded
-// events/sec to the shards=1 events/sec is the parallel speedup. The
+// pkts/sec to the shards=1 pkts/sec is the parallel speedup (events/sec
+// would not compare like with like: the sharded engine adds mailbox and
+// boundary-credit events and skips a different set of link releases). The
 // gomaxprocs and per-shard idle_s<i>_pct metrics (barrier-wait share of
 // each shard's window wall time, from the engine profiler) ride along so
 // the artifact records whether the curve had real cores to scale onto and

@@ -2,13 +2,20 @@
 # bench_gate.sh — the CI benchmark-regression gates.
 #
 # Hot-path gate: runs BenchmarkHotPath for REPS repetitions at a short
-# benchtime, takes the best rep (max events/sec — best-of damps scheduler
+# benchtime, takes the best rep (max pkts/sec — best-of damps scheduler
 # and neighbour noise on shared runners), and compares it against the
 # committed baseline artifact BENCH_hotpath.json:
 #
-#   - events/sec may not regress more than MAX_REGRESS_PCT (default 20%)
-#   - allocs/event may not increase at all (beyond a 0.002 absolute
-#     epsilon that absorbs amortised slice-growth jitter)
+#   - pkts/sec may not regress more than MAX_REGRESS_PCT (default 20%)
+#   - allocs/pkt may not increase at all (beyond a 0.002 absolute
+#     epsilon that absorbs amortised slice-growth jitter); the baseline
+#     is the artifact's allocs_per_op / pkts_per_op
+#
+# Both are per delivered packet, not per event: the event count is an
+# engine detail (a port schedules its link-release event only when a
+# packet waits for the link), so a change that sheds events raises
+# events/sec and allocs/event without the simulator doing more or less
+# work per packet.
 #
 # Scale gate: BenchmarkScale4096 per-node heap/alloc ceilings against
 # BENCH_scale.json (see the section comment below).
@@ -57,14 +64,18 @@ BASELINE=BENCH_hotpath.json
 
 # Pull the committed numbers out of the baseline artifact (POSIX tools
 # only — the gate must run anywhere the tests run).
-base_events=$(sed -n 's/.*"events_per_sec": \([0-9.]*\),*/\1/p' "$BASELINE" | sed -n 2p)
-base_allocs=$(sed -n 's/.*"allocs_per_event": \([0-9.]*\),*/\1/p' "$BASELINE" | sed -n 2p)
+# pkts_per_sec appears twice (the historical baseline block, then the
+# current block); the gate compares against the current one.
+base_pkts=$(sed -n 's/.*"pkts_per_sec": \([0-9.]*\),*/\1/p' "$BASELINE" | sed -n 2p)
+base_allocs_op=$(sed -n 's/.*"allocs_per_op": \([0-9.]*\),*/\1/p' "$BASELINE")
+base_pkts_op=$(sed -n 's/.*"pkts_per_op": \([0-9.]*\),*/\1/p' "$BASELINE")
 base_cpus=$(baseline_cpus "$BASELINE")
-[ -n "$base_events" ] && [ -n "$base_allocs" ] || {
+[ -n "$base_pkts" ] && [ -n "$base_allocs_op" ] && [ -n "$base_pkts_op" ] || {
     echo "bench_gate: could not parse baseline from $BASELINE" >&2; exit 1
 }
+base_allocs=$(awk -v a="$base_allocs_op" -v p="$base_pkts_op" 'BEGIN { printf "%.4f", a / p }')
 
-echo "==> baseline: $base_events events/sec, $base_allocs allocs/event (host_cpus=${base_cpus:-?})"
+echo "==> baseline: $base_pkts pkts/sec, $base_allocs allocs/pkt (host_cpus=${base_cpus:-?})"
 echo "==> go test -bench BenchmarkHotPath -benchtime $BENCHTIME -count $REPS"
 go test -run '^$' -bench BenchmarkHotPath -benchtime "$BENCHTIME" -count "$REPS" \
     -benchmem . | tee "$BENCH_OUT"
@@ -72,29 +83,29 @@ go test -run '^$' -bench BenchmarkHotPath -benchtime "$BENCHTIME" -count "$REPS"
 if [ "${base_cpus:-}" != "$HOST_CPUS" ]; then
     echo "bench_gate: SKIP hot-path comparison — baseline host_cpus=${base_cpus:-unset}, this host has $HOST_CPUS (regenerate $BASELINE on this machine class to re-arm)"
 else
-awk -v base_events="$base_events" -v base_allocs="$base_allocs" \
+awk -v base_pkts="$base_pkts" -v base_allocs="$base_allocs" \
     -v max_regress="$MAX_REGRESS_PCT" '
 /^BenchmarkHotPath/ {
     for (i = 1; i <= NF; i++) {
-        if ($i == "events/op")  r_eo = $(i-1)
-        if ($i == "events/sec") r_es = $(i-1)
-        if ($i == "allocs/op")  r_ao = $(i-1)
+        if ($i == "pkts/op")   r_po = $(i-1)
+        if ($i == "pkts/sec")  r_ps = $(i-1)
+        if ($i == "allocs/op") r_ao = $(i-1)
     }
-    if (r_es + 0 > es + 0) { es = r_es; eo = r_eo; ao = r_ao }
+    if (r_ps + 0 > ps + 0) { ps = r_ps; po = r_po; ao = r_ao }
 }
 END {
-    if (es == "") { print "bench_gate: no BenchmarkHotPath line found" > "/dev/stderr"; exit 1 }
-    allocs = ao / eo
-    floor = base_events * (1 - max_regress / 100)
-    printf "==> best of reps: %.0f events/sec (floor %.0f), %.4f allocs/event (baseline %s)\n", \
-        es, floor, allocs, base_allocs
+    if (ps == "") { print "bench_gate: no BenchmarkHotPath line found" > "/dev/stderr"; exit 1 }
+    allocs = ao / po
+    floor = base_pkts * (1 - max_regress / 100)
+    printf "==> best of reps: %.0f pkts/sec (floor %.0f), %.4f allocs/pkt (baseline %s)\n", \
+        ps, floor, allocs, base_allocs
     fail = 0
-    if (es + 0 < floor) {
-        printf "bench_gate: FAIL — events/sec regressed >%s%% (%.0f < %.0f)\n", max_regress, es, floor
+    if (ps + 0 < floor) {
+        printf "bench_gate: FAIL — pkts/sec regressed >%s%% (%.0f < %.0f)\n", max_regress, ps, floor
         fail = 1
     }
     if (allocs > base_allocs + 0.002) {
-        printf "bench_gate: FAIL — allocs/event increased (%.4f > %s)\n", allocs, base_allocs
+        printf "bench_gate: FAIL — allocs/pkt increased (%.4f > %s)\n", allocs, base_allocs
         fail = 1
     }
     if (fail) exit 1
@@ -161,9 +172,12 @@ fi # CURVE_ONLY
 
 # --- parallel scaling-curve gate --------------------------------------
 # The 1/2/4/8-shard speedup curve from BenchmarkParallelShards against
-# the committed BENCH_parallel.json. speedup_vs_serial is a wall-clock
-# ratio measured inside one run, so it survives machine-speed differences
-# but NOT machine-shape differences: a point is enforced only when
+# the committed BENCH_parallel.json. speedup_vs_serial is the pkts/sec
+# ratio to the shards=1 serial engine (the serial and sharded engines
+# execute different numbers of events for the same packets, so an
+# events/sec ratio would not compare like with like). It is measured
+# inside one run, so it survives machine-speed differences but NOT
+# machine-shape differences: a point is enforced only when
 # host_cpus >= shards here AND the baseline's host_cpus matches.
 PAR_BASELINE=BENCH_parallel.json
 [ -f "$PAR_BASELINE" ] || { echo "bench_gate: missing $PAR_BASELINE" >&2; exit 1; }
@@ -190,15 +204,15 @@ END {
         split(f[1], parts, "=")
         split(parts[2], tail, "-")
         shards = tail[1]
-        r_es = 0
+        r_ps = 0
         for (i = 1; i <= nf; i++) {
-            if (f[i] == "events/sec") r_es = f[i-1]
+            if (f[i] == "pkts/sec")   r_ps = f[i-1]
             if (f[i] == "gomaxprocs") gmp = f[i-1]
         }
-        if (r_es + 0 > es[shards] + 0) es[shards] = r_es
+        if (r_ps + 0 > ps[shards] + 0) ps[shards] = r_ps
     }
     close(raw)
-    if (!(1 in es)) { print "bench_gate: no shards=1 reference in " raw > "/dev/stderr"; exit 1 }
+    if (!(1 in ps)) { print "bench_gate: no shards=1 reference in " raw > "/dev/stderr"; exit 1 }
     comparable = (base_cpus + 0 == host_cpus + 0)
     if (!comparable)
         printf "bench_gate: curve baseline host_cpus=%d, this host has %d — all points warn-only (regenerate %s on this machine class to re-arm)\n", \
@@ -208,8 +222,8 @@ END {
     fail = 0
     for (i = 1; i <= bn; i++) {
         s = border[i]
-        if (!(s in es)) { printf "bench_gate: curve point shards=%s missing from this run\n", s; fail = 1; continue }
-        sp = es[s] / es[1]
+        if (!(s in ps)) { printf "bench_gate: curve point shards=%s missing from this run\n", s; fail = 1; continue }
+        sp = ps[s] / ps[1]
         floor = base[s] * (1 - max_regress / 100)
         enforced = comparable && (host_cpus + 0 >= s + 0)
         status = enforced ? "ENFORCED" : "warn-only"
